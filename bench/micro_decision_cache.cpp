@@ -34,12 +34,14 @@
 #include "core/decision_cache.hpp"
 #include "core/plan_driver.hpp"
 #include "core/rl_policy.hpp"
+#include "obs/metrics.hpp"
 #include "rl/a3c.hpp"
 #include "store/trace_reader.hpp"
 #include "store/trace_writer.hpp"
 #include "trace/analysis.hpp"
 #include "trace/synthetic.hpp"
 #include "util/env.hpp"
+#include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -108,6 +110,47 @@ BucketResult run_bucket(const trace::RequestTrace& full,
   return result;
 }
 
+/// probe_batch ns per hit over one day's decision states of every file in
+/// `trace` (up to half the default capacity, so all of them are resident),
+/// probed in the decide path's 1024-key chunks. Runs with obs off, so the
+/// run report's core.cache.* counters still count the planning runs only.
+double probe_hit_ns(const trace::RequestTrace& trace, rl::A3CAgent& agent,
+                    std::size_t day) {
+  const rl::Featurizer& featurizer = agent.featurizer();
+  const std::size_t h = featurizer.history_len();
+  const double day_phase = featurizer.config().include_day_of_week
+                               ? static_cast<double>(day % 7)
+                               : -1.0;
+  const std::uint64_t epoch = agent.decision_fingerprint(true);
+  const bool obs_was_enabled = obs::enabled();
+  obs::set_enabled(false);
+  core::DecisionCache cache;
+  obs::set_enabled(obs_was_enabled);
+  const std::size_t n =
+      std::min(trace.file_count(), core::DecisionCacheConfig{}.capacity / 2);
+  std::vector<core::DecisionKey> keys(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const trace::FileRecord& f = trace.file(i);
+    keys[i] = {std::span<const double>(f.reads).subspan(day - h, h),
+               f.writes[day - 1], f.size_gb, 0.0, day_phase};
+    cache.insert(epoch, keys[i], 0);
+  }
+  constexpr std::size_t kChunk = 1024;
+  std::vector<std::uint8_t> actions(kChunk);
+  std::vector<std::uint64_t> hashes(kChunk);
+  std::size_t hits = 0;
+  const util::Stopwatch watch;
+  for (std::size_t round = 0; round < 20; ++round) {
+    for (std::size_t lo = 0; lo < n; lo += kChunk) {
+      const std::size_t len = std::min(kChunk, n - lo);
+      hits += cache.probe_batch(epoch, std::span(keys).subspan(lo, len),
+                                std::span(actions).first(len),
+                                std::span(hashes).first(len));
+    }
+  }
+  return hits == 0 ? 0.0 : watch.seconds() * 1e9 / static_cast<double>(hits);
+}
+
 }  // namespace
 
 int main() {
@@ -174,6 +217,7 @@ int main() {
   const BucketResult low_r = run_bucket(full, low, prices, policy, start_day);
   const BucketResult mid_r = run_bucket(full, mid, prices, policy, start_day);
   const BucketResult high_r = run_bucket(full, high, prices, policy, start_day);
+  const double hit_ns = probe_hit_ns(full, agent, days - 1);
   identical = identical && low_r.identical && mid_r.identical &&
               high_r.identical;
 
@@ -226,6 +270,7 @@ int main() {
       {"speedup_high", high_r.speedup},
       {"hit_rate_high", high_r.hit_rate},
       {"dedup_ratio_high", high_r.dedup_ratio},
+      {"probe_hit_ns", hit_ns},
       {"decide_off_seconds", off.decision_seconds},
       {"decide_on_seconds", on.decision_seconds},
       {"cache_resident_mib",
@@ -241,12 +286,12 @@ int main() {
       "\"speedup\":%.2f,\"hit_rate\":%.4f,\"dedup_ratio\":%.2f,"
       "\"speedup_low\":%.2f,\"hit_rate_low\":%.4f,\"dedup_ratio_low\":%.2f,"
       "\"speedup_mid\":%.2f,\"hit_rate_mid\":%.4f,"
-      "\"speedup_high\":%.2f,\"hit_rate_high\":%.4f,"
+      "\"speedup_high\":%.2f,\"hit_rate_high\":%.4f,\"probe_hit_ns\":%.1f,"
       "\"decide_off_seconds\":%.4f,\"decide_on_seconds\":%.4f,"
       "\"bills_identical\":%s}",
       files, days, files_per_sec_off, files_per_sec_on, speedup, hit_rate,
       dedup_ratio, low_r.speedup, low_r.hit_rate, low_r.dedup_ratio,
-      mid_r.speedup, mid_r.hit_rate, high_r.speedup, high_r.hit_rate,
+      mid_r.speedup, mid_r.hit_rate, high_r.speedup, high_r.hit_rate, hit_ns,
       off.decision_seconds, on.decision_seconds, identical ? "true" : "false");
 
   std::printf("%s\n", buf);

@@ -19,22 +19,35 @@
 //   * Every entry carries the epoch it was computed under: a fingerprint of
 //     the deciding policy (parameter hash + decision-mode bits). Training,
 //     loading a checkpoint, or switching policies changes the fingerprint,
-//     so stale entries can never serve — they miss and age out via LRU.
+//     so stale entries can never serve — they miss, and set-local LRU
+//     eviction reclaims their slots.
 //
-// Concurrency: the table is split into power-of-two lock shards selected by
-// key hash; each shard is a util::Mutex-guarded (thread-safety annotated)
-// LRU over an open hash map. Batch decide paths probe from parallel_for
-// workers; distinct hash shards never contend. Hit/miss/insert/evict flow
-// into both local relaxed-atomic stats (for per-run deltas) and the global
-// obs counters `core.cache.*`.
+// Layout: the table is split into power-of-two lock shards selected by key
+// hash; each shard is a util::Mutex-guarded (thread-safety annotated) flat
+// set-associative table whose arrays are allocated once — 16-way sets of
+// 16-bit hash tags, one slot-metadata array (epoch, recency tick, action)
+// and one contiguous key arena (the packed doubles, inline, allocated
+// uninitialized at the first insert so capacity the workload never reaches
+// costs no resident memory). A key may live in either of two candidate sets
+// picked by independent hash bits; an insert fills the emptier of the two
+// and, when both are full, evicts the least recently used of their slots.
+// A hit is one tick store — no list splice, no allocation. The two choices
+// keep a working set well under capacity fully resident; a single fixed
+// set per key would lose keys to set overflow long before the table fills.
+//
+// Batch decide paths call probe_batch() from parallel_for workers: it hashes
+// the whole batch first, takes each lock shard once for all of the batch's
+// keys that map to it, prefetches candidate sets a few keys ahead, and adds
+// the batch's hit/miss counts to the local relaxed-atomic stats (for per-run
+// deltas) and the global obs counters `core.cache.*` once per batch, so no
+// shared counter is touched per probe.
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <list>
+#include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "util/mutex.hpp"
@@ -47,12 +60,14 @@ class Counter;
 namespace minicost::core {
 
 struct DecisionCacheConfig {
-  /// Maximum resident entries across all lock shards. Each entry holds the
-  /// packed key (history_len + 4 doubles) plus map/list overhead — the
-  /// default bounds the cache near 40 MiB at a 14-day history.
+  /// Maximum resident entries across all lock shards (0 is treated as 1).
+  /// Each entry holds the packed key (history_len + 4 doubles) plus 18
+  /// bytes of tag and slot metadata — the default bounds the cache near
+  /// 20 MiB at a 14-day history.
   std::size_t capacity = 1u << 17;
-  /// Lock shards (rounded up to a power of two; 0 = default). More shards
-  /// cut probe contention from parallel decide workers.
+  /// Lock shards (rounded up to a power of two; 0 = default; lowered to
+  /// the largest power of two <= capacity so every shard holds at least
+  /// one entry). More shards cut probe contention from parallel workers.
   std::size_t shards = 16;
 };
 
@@ -75,7 +90,9 @@ struct DecisionKey {
   bool equals(const DecisionKey& other) const noexcept;
   /// Bytewise equality against a packed key of the same width.
   bool equals_packed(std::span<const double> packed) const noexcept;
-  /// 64-bit hash over the exact key bytes mixed with `epoch`.
+  /// 64-bit hash over the exact key bytes mixed with `epoch`: a
+  /// multiply-rotate fold and one final mix. It only places keys — a hit
+  /// still compares the epoch and every key byte.
   std::uint64_t hash(std::uint64_t epoch) const noexcept;
 };
 
@@ -110,21 +127,36 @@ struct DecisionCacheStats {
 
 class DecisionCache {
  public:
+  /// probe_batch()'s action for a key that missed (no tier index is 0xff).
+  static constexpr std::uint8_t kMiss = 0xff;
+
   explicit DecisionCache(const DecisionCacheConfig& config = {});
 
   DecisionCache(const DecisionCache&) = delete;
   DecisionCache& operator=(const DecisionCache&) = delete;
 
-  /// Probes for `key` under `epoch`. A hit requires the stored epoch AND
-  /// every key byte to match; hits are promoted to the front of their
-  /// shard's LRU. Thread-safe.
+  /// Probes every key under `epoch`. A hit requires the stored epoch AND
+  /// every key byte to match; it refreshes the entry's recency. Writes each
+  /// key's action (kMiss on a miss) to `actions` and its key.hash(epoch) to
+  /// `hashes`, for the caller's dedup and insert(). All three spans must
+  /// have the same size. Returns the number of hits. Thread-safe.
+  std::size_t probe_batch(std::uint64_t epoch,
+                          std::span<const DecisionKey> keys,
+                          std::span<std::uint8_t> actions,
+                          std::span<std::uint64_t> hashes);
+
+  /// One-key probe_batch(). Thread-safe.
   std::optional<std::uint8_t> lookup(std::uint64_t epoch,
                                      const DecisionKey& key);
 
-  /// Inserts (or refreshes) the action for `key` under `epoch`, evicting
-  /// the shard's least-recently-used entry when the shard is full.
-  /// Thread-safe.
+  /// Inserts (or refreshes) the action for `key` under `epoch`. When both
+  /// of the key's candidate sets are full, evicts the least recently used
+  /// slot among them. Thread-safe.
   void insert(std::uint64_t epoch, const DecisionKey& key,
+              std::uint8_t action);
+  /// insert() with `hash` == key.hash(epoch) already computed (probe_batch
+  /// returns it).
+  void insert(std::uint64_t epoch, const DecisionKey& key, std::uint64_t hash,
               std::uint8_t action);
 
   /// Records one batch's dedup outcome (`rows` cache-missed rows collapsed
@@ -140,22 +172,57 @@ class DecisionCache {
   std::size_t shard_count() const noexcept { return shards_.size(); }
 
  private:
-  struct Entry {
-    std::uint64_t hash = 0;
-    std::uint64_t epoch = 0;
-    std::vector<double> key;
-    std::uint8_t action = 0;
+  static constexpr std::size_t kWays = 16;
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+  /// One set's 16-bit hash tags (0 marks an empty way); half a cache line,
+  /// so one prefetch covers a set.
+  struct alignas(32) TagSet {
+    std::array<std::uint16_t, kWays> tag{};
   };
-  /// One lock shard: LRU list (front = most recent) plus a hash index into
-  /// it. Hash collisions between distinct keys are resolved as misses and
-  /// replaced on insert — with 64-bit hashes over exact bytes they are
-  /// vanishingly rare, and serving only exact-compared entries keeps the
-  /// bit-identity contract unconditional.
+  /// Everything a slot holds besides its tag and key.
+  struct Slot {
+    std::uint64_t epoch;
+    std::uint32_t tick;  ///< shard clock at the last insert or hit
+    std::uint8_t action;
+  };
+  /// Resident footprint of one entry, as reported in stats().
+  static constexpr std::size_t entry_bytes(std::size_t width) noexcept {
+    return width * sizeof(double) + sizeof(Slot) + sizeof(std::uint16_t);
+  }
+  /// What an insert did to residency.
+  struct InsertOutcome {
+    bool added = false;  ///< false when an existing entry was refreshed
+    std::uint64_t evicted = 0;
+    std::uint64_t evicted_bytes = 0;
+  };
+  /// One lock shard: `set_count` sets of `ways` slots. Keys of one width
+  /// live in a shard at a time; an insert of another width (another
+  /// history_len) first drops the shard's entries, and probes of another
+  /// width miss.
   struct Shard {
     mutable util::Mutex mutex;
-    std::list<Entry> lru MC_GUARDED_BY(mutex);
-    std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index
-        MC_GUARDED_BY(mutex);
+    std::size_t set_count MC_GUARDED_BY(mutex) = 0;
+    std::size_t ways MC_GUARDED_BY(mutex) = 0;
+    std::size_t width MC_GUARDED_BY(mutex) = 0;  ///< 0 until the first insert
+    std::size_t resident MC_GUARDED_BY(mutex) = 0;
+    std::uint32_t clock MC_GUARDED_BY(mutex) = 0;
+    std::unique_ptr<TagSet[]> tags MC_GUARDED_BY(mutex);
+    /// kWays per set, in set order (slot = set * kWays + way).
+    std::unique_ptr<Slot[]> slots MC_GUARDED_BY(mutex);
+    /// `width` doubles per slot, in slot order.
+    std::unique_ptr<double[]> keys MC_GUARDED_BY(mutex);
+
+    void allocate(std::size_t capacity) MC_REQUIRES(mutex);
+    void prefetch(std::uint64_t hash) const MC_REQUIRES(mutex);
+    /// Slot index of `key` under `epoch`, or kNoSlot.
+    std::size_t find(std::uint64_t hash, std::uint64_t epoch,
+                     const DecisionKey& key) const MC_REQUIRES(mutex);
+    InsertOutcome insert(std::uint64_t hash, std::uint64_t epoch,
+                         const DecisionKey& key, std::uint8_t action)
+        MC_REQUIRES(mutex);
+    /// Drops every entry; returns how many there were.
+    std::size_t drop_all() MC_REQUIRES(mutex);
   };
 
   Shard& shard_for(std::uint64_t hash) noexcept {
@@ -163,7 +230,6 @@ class DecisionCache {
   }
 
   std::size_t capacity_ = 0;
-  std::size_t per_shard_capacity_ = 0;
   std::uint64_t shard_mask_ = 0;
   std::vector<Shard> shards_;
 

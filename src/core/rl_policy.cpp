@@ -1,8 +1,8 @@
 #include "core/rl_policy.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "core/decision_cache.hpp"
@@ -43,7 +43,8 @@ void RlPolicy::decide_day(const PlanContext& context, std::size_t day,
 }
 
 // The dedup-aware reuse path (DESIGN.md §15). Five phases:
-//   1. parallel probe of the cross-day DecisionCache (exact key + epoch);
+//   1. parallel batched probe of the cross-day DecisionCache (exact key +
+//      epoch), which also returns every key's hash;
 //   2. serial index-order dedup of the misses to unique decision states —
 //      serial so unique-slot numbering (and thus the forward batch) is a
 //      pure function of the inputs, never of thread timing;
@@ -70,28 +71,27 @@ void RlPolicy::decide_day_cached(const PlanContext& context, std::size_t day,
   const std::size_t n = context.trace.file_count();
   util::ThreadPool& pool = plan_pool(context);
 
-  const auto key_for = [&](std::size_t i) {
-    const trace::FileRecord& f = context.trace.file(i);
-    return DecisionKey{
-        std::span<const double>(f.reads).subspan(day - h, h),
-        f.writes[day - 1], f.size_gb,
-        static_cast<double>(pricing::tier_index(current[i])), day_phase};
-  };
-
   // Phase 1: probe. Chunks are fixed-size so the work split never depends
   // on the pool size; per-index writes keep the result deterministic.
-  constexpr std::uint8_t kNoAction = 0xff;
-  static_assert(pricing::kTierCount < kNoAction);
-  std::vector<std::uint8_t> cached(n, kNoAction);
+  std::vector<DecisionKey> keys(n);
+  std::vector<std::uint64_t> hashes(n);
+  std::vector<std::uint8_t> cached(n);
+  static_assert(pricing::kTierCount < DecisionCache::kMiss);
   constexpr std::size_t kChunk = 1024;
   const std::size_t chunk_count = (n + kChunk - 1) / kChunk;
   const auto probe_chunk = [&](std::size_t c) {
     const std::size_t lo = c * kChunk;
-    const std::size_t hi = std::min(n, lo + kChunk);
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (const auto action = cache.lookup(epoch, key_for(i)))
-        cached[i] = *action;
+    const std::size_t len = std::min(n, lo + kChunk) - lo;
+    for (std::size_t i = lo; i < lo + len; ++i) {
+      const trace::FileRecord& f = context.trace.file(i);
+      keys[i] = DecisionKey{
+          std::span<const double>(f.reads).subspan(day - h, h),
+          f.writes[day - 1], f.size_gb,
+          static_cast<double>(pricing::tier_index(current[i])), day_phase};
     }
+    cache.probe_batch(epoch, std::span(keys).subspan(lo, len),
+                      std::span(cached).subspan(lo, len),
+                      std::span(hashes).subspan(lo, len));
   };
   if (pool.size() > 1 && chunk_count > 1) {
     pool.parallel_for(0, chunk_count, probe_chunk);
@@ -101,30 +101,30 @@ void RlPolicy::decide_day_cached(const PlanContext& context, std::size_t day,
 
   // Phase 2: dedup the misses in index order. `slot_of[i]` is the unique
   // forward row deciding file i; `unique_files[s]` is slot s's
-  // representative file.
-  std::vector<std::size_t> miss;
+  // representative file. `table` is an open-addressing set of slots keyed
+  // by the phase-1 hashes (linear probing); states whose hashes collide
+  // but whose bytes differ take separate entries.
+  std::size_t miss_count = 0;
+  for (const std::uint8_t action : cached)
+    miss_count += action == DecisionCache::kMiss ? 1 : 0;
+  constexpr std::size_t kEmpty = static_cast<std::size_t>(-1);
+  const std::size_t table_mask = std::bit_ceil(2 * miss_count + 1) - 1;
+  std::vector<std::size_t> table(table_mask + 1, kEmpty);
   std::vector<std::size_t> slot_of(n, 0);
   std::vector<std::size_t> unique_files;
-  // hash -> unique slots sharing it (exact compare disambiguates); only
-  // probed and appended, never iterated.
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> slots_by_hash;
   for (std::size_t i = 0; i < n; ++i) {
-    if (cached[i] != kNoAction) continue;
-    miss.push_back(i);
-    const DecisionKey key = key_for(i);
-    std::vector<std::size_t>& slots = slots_by_hash[key.hash(epoch)];
-    std::size_t found = unique_files.size();
-    for (const std::size_t s : slots) {
-      if (key.equals(key_for(unique_files[s]))) {
-        found = s;
-        break;
-      }
+    if (cached[i] != DecisionCache::kMiss) continue;
+    std::size_t pos = hashes[i] & table_mask;
+    while (table[pos] != kEmpty) {
+      const std::size_t rep = unique_files[table[pos]];
+      if (hashes[rep] == hashes[i] && keys[i].equals(keys[rep])) break;
+      pos = (pos + 1) & table_mask;
     }
-    if (found == unique_files.size()) {
-      slots.push_back(found);
+    if (table[pos] == kEmpty) {
+      table[pos] = unique_files.size();
       unique_files.push_back(i);
     }
-    slot_of[i] = found;
+    slot_of[i] = table[pos];
   }
 
   // Phase 3: featurize only the unique states, straight into the batch.
@@ -154,15 +154,17 @@ void RlPolicy::decide_day_cached(const PlanContext& context, std::size_t day,
 
   // Phase 5: scatter + insert.
   for (std::size_t s = 0; s < unique_count; ++s) {
-    cache.insert(epoch, key_for(unique_files[s]),
+    const std::size_t i = unique_files[s];
+    cache.insert(epoch, keys[i], hashes[i],
                  static_cast<std::uint8_t>(actions[s]));
   }
   for (std::size_t i = 0; i < n; ++i) {
     out_plan[i] = pricing::tier_from_index(
-        cached[i] != kNoAction ? cached[i]
-                               : static_cast<std::uint8_t>(actions[slot_of[i]]));
+        cached[i] != DecisionCache::kMiss
+            ? cached[i]
+            : static_cast<std::uint8_t>(actions[slot_of[i]]));
   }
-  cache.note_dedup(miss.size(), unique_count);
+  cache.note_dedup(miss_count, unique_count);
 }
 
 namespace {

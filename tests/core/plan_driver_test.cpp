@@ -14,6 +14,7 @@
 
 #include "core/greedy.hpp"
 #include "core/rl_policy.hpp"
+#include "obs/metrics.hpp"
 #include "rl/a3c.hpp"
 #include "store/trace_writer.hpp"
 #include "trace/synthetic.hpp"
@@ -264,6 +265,57 @@ TEST(PlanDriverDecisionCacheTest, OnOffIdenticalAcrossShardsPoolsAndReplans) {
           << "a warm replay of already-cached states must not miss";
     }
   }
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
+}
+
+// probe_batch adds hits and misses to the obs registry once per batch; the
+// bulk adds must lose no count, so the global counters move by exactly the
+// run-local cache_stats deltas across a cached run and replan.
+TEST(PlanDriverDecisionCacheTest, ObsCountersMatchRunCacheStats) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);  // before the driver builds its cache
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("minicost_plan_driver_obs_" + std::to_string(::getpid()) + ".mct");
+  trace::SyntheticConfig config;
+  config.file_count = 53;
+  config.days = 40;
+  config.seed = 37;
+  config.integral_counts = true;
+  store::pack_trace(trace::generate_synthetic(config), path);
+  {
+    const store::TraceReader reader(path);
+    rl::A3CConfig agent_config;
+    agent_config.filters = 8;
+    agent_config.hidden = 8;
+    agent_config.workers = 1;
+    rl::A3CAgent agent(agent_config, 13);
+    RlPolicy policy(agent);
+    util::ThreadPool pool(4);
+    PlanDriverOptions options;
+    options.start_day = 20;
+    options.shard_files = 7;
+    options.pool = &pool;
+    options.decision_cache = true;
+
+    obs::Counter& hit = obs::counter("core.cache.hit");
+    obs::Counter& miss = obs::counter("core.cache.miss");
+    const std::uint64_t hit_before = hit.value();
+    const std::uint64_t miss_before = miss.value();
+    const pricing::PricingPolicy prices = pricing::PricingPolicy::azure_2020();
+    PlanDriver driver(reader, prices, policy, options);
+    const PlanDriverRun run = driver.run();
+    driver.mark_dirty(10, 20);
+    const PlanDriverRun replan = driver.replan();
+    EXPECT_GT(run.cache_stats.misses, 0u);
+    EXPECT_GT(replan.cache_stats.hits, 0u);
+    EXPECT_EQ(hit.value() - hit_before,
+              run.cache_stats.hits + replan.cache_stats.hits);
+    EXPECT_EQ(miss.value() - miss_before,
+              run.cache_stats.misses + replan.cache_stats.misses);
+  }
+  obs::set_enabled(was_enabled);
   std::error_code ec;
   std::filesystem::remove(path, ec);
 }
