@@ -80,6 +80,26 @@ void BM_Fig12_MiniCost(benchmark::State& state) {
 }
 BENCHMARK(BM_Fig12_MiniCost)->Unit(benchmark::kMillisecond);
 
+// The deployed batch path: one RlPolicy::decide_day over every file, which
+// forwards each distinct decision state of the day once on the shared
+// pool. items_per_second is file decisions per wall-clock second (the pool
+// threads' CPU is not on the benchmark thread's clock).
+void BM_Fig12_MiniCostDay(benchmark::State& state) {
+  Fixture& f = fixture();
+  core::RlPolicy policy(*f.agent);
+  policy.prepare(f.context);
+  std::vector<pricing::StorageTier> plan(f.workload.test.file_count());
+  std::size_t files = 0;
+  for (auto _ : state) {
+    policy.decide_day(f.context, 30, f.initial, plan);
+    benchmark::DoNotOptimize(plan.data());
+    benchmark::ClobberMemory();
+    files += plan.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(files));
+}
+BENCHMARK(BM_Fig12_MiniCostDay)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 // The paper's "<1 ms per data file decision" claim, measured directly.
 void BM_Fig12_MiniCostPerFileDecision(benchmark::State& state) {
   Fixture& f = fixture();

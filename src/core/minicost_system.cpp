@@ -120,13 +120,12 @@ sim::DayPlan MiniCostSystem::plan_day(
     const std::vector<pricing::StorageTier>& current) {
   if (current.size() != trace.file_count())
     throw std::invalid_argument("MiniCostSystem::plan_day: width mismatch");
-  const std::size_t h = agent_.featurizer().history_len();
-  if (day < h) return current;  // not enough history yet: hold tiers
+  // The deployed decide path: RlPolicy's deduplicated batch forward.
+  RlPolicy policy(agent_);
+  const PlanContext context{trace, config_.pricing, day, day + 1, current,
+                            config_.pool};
   sim::DayPlan plan(trace.file_count());
-  const std::vector<rl::Action> actions = agent_.act_batch(
-      trace.files(), day, current, /*greedy=*/true, config_.pool);
-  for (std::size_t i = 0; i < plan.size(); ++i)
-    plan[i] = pricing::tier_from_index(actions[i]);
+  policy.decide_day(context, day, current, plan);
   return plan;
 }
 

@@ -22,85 +22,82 @@ pricing::StorageTier RlPolicy::decide(const PlanContext& context,
   return pricing::tier_from_index(action);
 }
 
+// The one batch decide path (DESIGN.md §15.2): every day forwards each
+// distinct decision state once. Five phases:
+//   1. build every file's exact DecisionKey and hash it — in fixed-size
+//      chunks over the pool; with a cross-run DecisionCache the chunk is
+//      one batched probe (exact key + epoch), which returns the hashes;
+//   2. serial index-order dedup of the rows the cache did not serve to
+//      unique decision states — serial so unique-slot numbering (and thus
+//      the forward batch) is a pure function of the inputs, never of
+//      thread timing;
+//   3. parallel featurization of ONLY the unique states, each row written
+//      directly into its slot of the flat batch buffer (structure-of-
+//      arrays: no per-file gather copies, duplicates never encoded);
+//   4. one act_features_batch over the unique rows;
+//   5. scatter to every duplicate (and cache hit); with a cache, insert
+//      the fresh decisions.
+// Identical feature rows produce identical actions (forward_batch is
+// row-independent; sampled mode draws every row from the same forked
+// stream), so collapsing duplicates and serving cached actions is
+// byte-identical to forwarding every file through act_batch.
 void RlPolicy::decide_day(const PlanContext& context, std::size_t day,
                           std::span<const pricing::StorageTier> current,
                           std::span<pricing::StorageTier> out_plan) {
   if (current.size() != context.trace.file_count() ||
       out_plan.size() != context.trace.file_count())
     throw std::invalid_argument("decide_day: span width != file count");
-  if (day < agent_.featurizer().history_len()) {
+  const rl::Featurizer& featurizer = agent_.featurizer();
+  const std::size_t h = featurizer.history_len();
+  if (day < h) {
     std::copy(current.begin(), current.end(), out_plan.begin());
     return;
   }
-  if (context.decision_cache != nullptr) {
-    decide_day_cached(context, day, current, out_plan);
-    return;
-  }
-  const std::vector<rl::Action> actions = agent_.act_batch(
-      context.trace.files(), day, current, greedy_, &plan_pool(context));
-  for (std::size_t i = 0; i < actions.size(); ++i)
-    out_plan[i] = pricing::tier_from_index(actions[i]);
-}
-
-// The dedup-aware reuse path (DESIGN.md §15). Five phases:
-//   1. parallel batched probe of the cross-day DecisionCache (exact key +
-//      epoch), which also returns every key's hash;
-//   2. serial index-order dedup of the misses to unique decision states —
-//      serial so unique-slot numbering (and thus the forward batch) is a
-//      pure function of the inputs, never of thread timing;
-//   3. parallel featurization of ONLY the unique states, each row written
-//      directly into its slot of the flat batch buffer (structure-of-
-//      arrays: no per-file gather copies, duplicates never encoded);
-//   4. one act_features_batch over the unique rows;
-//   5. scatter to every duplicate + hit, and insert the fresh decisions.
-// Identical feature rows produce identical actions (forward_batch is
-// row-independent; sampled mode draws every row from the same forked
-// stream), so collapsing duplicates and serving cached actions is
-// byte-identical to the uncached act_batch path.
-void RlPolicy::decide_day_cached(const PlanContext& context, std::size_t day,
-                                 std::span<const pricing::StorageTier> current,
-                                 std::span<pricing::StorageTier> out_plan) {
-  MC_OBS_SCOPE("core.rl_policy.decide_day_cached");
-  DecisionCache& cache = *context.decision_cache;
-  const rl::Featurizer& featurizer = agent_.featurizer();
-  const std::size_t h = featurizer.history_len();
+  MC_OBS_SCOPE("core.rl_policy.decide_day");
+  DecisionCache* const cache = context.decision_cache;
   const double day_phase = featurizer.config().include_day_of_week
                                ? static_cast<double>(day % 7)
                                : -1.0;
-  const std::uint64_t epoch = agent_.decision_fingerprint(greedy_);
+  // Without a cache the hash only places keys in the dedup table, so any
+  // fixed seed serves; with one it must be the cache's epoch.
+  const std::uint64_t epoch =
+      cache != nullptr ? agent_.decision_fingerprint(greedy_) : 0;
   const std::size_t n = context.trace.file_count();
   util::ThreadPool& pool = plan_pool(context);
 
-  // Phase 1: probe. Chunks are fixed-size so the work split never depends
-  // on the pool size; per-index writes keep the result deterministic.
+  // Phase 1: keys + hashes (+ probe). Chunks are fixed-size so the work
+  // split never depends on the pool size; per-index writes keep the result
+  // deterministic.
   std::vector<DecisionKey> keys(n);
   std::vector<std::uint64_t> hashes(n);
-  std::vector<std::uint8_t> cached(n);
+  std::vector<std::uint8_t> cached(n, DecisionCache::kMiss);
   static_assert(pricing::kTierCount < DecisionCache::kMiss);
   constexpr std::size_t kChunk = 1024;
   const std::size_t chunk_count = (n + kChunk - 1) / kChunk;
-  const auto probe_chunk = [&](std::size_t c) {
+  const auto key_chunk = [&](std::size_t c) {
     const std::size_t lo = c * kChunk;
-    const std::size_t len = std::min(n, lo + kChunk) - lo;
-    for (std::size_t i = lo; i < lo + len; ++i) {
+    const std::size_t hi = std::min(n, lo + kChunk);
+    for (std::size_t i = lo; i < hi; ++i) {
       const trace::FileRecord& f = context.trace.file(i);
       keys[i] = DecisionKey{
           std::span<const double>(f.reads).subspan(day - h, h),
           f.writes[day - 1], f.size_gb,
           static_cast<double>(pricing::tier_index(current[i])), day_phase};
+      if (cache == nullptr) hashes[i] = keys[i].hash(epoch);
     }
-    cache.probe_batch(epoch, std::span(keys).subspan(lo, len),
-                      std::span(cached).subspan(lo, len),
-                      std::span(hashes).subspan(lo, len));
+    if (cache != nullptr)
+      cache->probe_batch(epoch, std::span(keys).subspan(lo, hi - lo),
+                         std::span(cached).subspan(lo, hi - lo),
+                         std::span(hashes).subspan(lo, hi - lo));
   };
   if (pool.size() > 1 && chunk_count > 1) {
-    pool.parallel_for(0, chunk_count, probe_chunk);
+    pool.parallel_for(0, chunk_count, key_chunk);
   } else {
-    for (std::size_t c = 0; c < chunk_count; ++c) probe_chunk(c);
+    for (std::size_t c = 0; c < chunk_count; ++c) key_chunk(c);
   }
 
-  // Phase 2: dedup the misses in index order. `slot_of[i]` is the unique
-  // forward row deciding file i; `unique_files[s]` is slot s's
+  // Phase 2: dedup the unserved rows in index order. `slot_of[i]` is the
+  // unique forward row deciding file i; `unique_files[s]` is slot s's
   // representative file. `table` is an open-addressing set of slots keyed
   // by the phase-1 hashes (linear probing); states whose hashes collide
   // but whose bytes differ take separate entries.
@@ -152,19 +149,22 @@ void RlPolicy::decide_day_cached(const PlanContext& context, std::size_t day,
   const std::vector<rl::Action> actions =
       agent_.act_features_batch(rows, unique_count, greedy_, &pool);
 
-  // Phase 5: scatter + insert.
-  for (std::size_t s = 0; s < unique_count; ++s) {
-    const std::size_t i = unique_files[s];
-    cache.insert(epoch, keys[i], hashes[i],
-                 static_cast<std::uint8_t>(actions[s]));
-  }
+  // Phase 5: scatter (+ insert).
   for (std::size_t i = 0; i < n; ++i) {
     out_plan[i] = pricing::tier_from_index(
         cached[i] != DecisionCache::kMiss
             ? cached[i]
             : static_cast<std::uint8_t>(actions[slot_of[i]]));
   }
-  cache.note_dedup(miss_count, unique_count);
+  MC_OBS_COUNT("core.rl.dedup.rows", miss_count);
+  MC_OBS_COUNT("core.rl.dedup.unique_rows", unique_count);
+  if (cache == nullptr) return;
+  for (std::size_t s = 0; s < unique_count; ++s) {
+    const std::size_t i = unique_files[s];
+    cache->insert(epoch, keys[i], hashes[i],
+                  static_cast<std::uint8_t>(actions[s]));
+  }
+  cache->note_dedup(miss_count, unique_count);
 }
 
 namespace {

@@ -27,25 +27,23 @@ class RlPolicy final : public TieringPolicy {
                               std::size_t day,
                               pricing::StorageTier current) override;
 
-  /// Batch path: one A3CAgent::act_batch call — fused NN forwards sharded
-  /// over the planning pool — instead of one locked forward per file.
-  /// When context.decision_cache is set, decisions are reused instead of
-  /// recomputed (DESIGN.md §15): each file's exact decision state (read
-  /// window bytes, write rate, size, tier, day phase) is probed against the
-  /// cross-day cache under the agent's decision fingerprint; the misses are
-  /// deduplicated to unique states, only those rows are featurized (written
-  /// straight into the batch buffer) and forwarded, and results scatter
-  /// back to every duplicate and into the cache. Byte-identical to the
-  /// uncached path because keys are exact and the network deterministic.
+  /// Batch path (DESIGN.md §15.2): forwards each distinct decision state
+  /// of the day once. Every file's exact decision state (read window
+  /// bytes, write rate, size, tier, day phase) is keyed and hashed, the
+  /// keys are deduplicated in index order, only the unique rows are
+  /// featurized (written straight into the batch buffer) and forwarded in
+  /// one A3CAgent::act_features_batch sharded over the planning pool, and
+  /// the actions scatter back to every duplicate. When
+  /// context.decision_cache is set it is a cross-run memo around those
+  /// phases: keys it holds under the agent's decision fingerprint skip the
+  /// dedup and the forward, and fresh decisions are inserted. Byte-
+  /// identical to a per-file act_batch because keys are exact and the
+  /// network deterministic.
   void decide_day(const PlanContext& context, std::size_t day,
                   std::span<const pricing::StorageTier> current,
                   std::span<pricing::StorageTier> out_plan) override;
 
  private:
-  void decide_day_cached(const PlanContext& context, std::size_t day,
-                         std::span<const pricing::StorageTier> current,
-                         std::span<pricing::StorageTier> out_plan);
-
   rl::A3CAgent& agent_;
   bool greedy_;
   std::vector<double> scratch_;

@@ -14,24 +14,28 @@ namespace {
 // each element still accumulates bias first and inputs 0..in-1 in order,
 // exactly like the scalar forward(). Rows are therefore bit-identical to
 // per-row forward() calls on every ISA (FP contraction is off for this
-// translation unit). Row-major in and out: the output row lives in L1
-// (or registers) for the whole accumulation — no strided stores.
-// Two levels of blocking:
+// translation unit). Row-major in and out: the output rows live in
+// registers (or L1) for the whole accumulation — no strided stores.
+// Three levels of blocking:
 //  * output neurons in fixed-width register tiles (constant-trip inner
-//    loops promote the accumulators out of memory and give the OOO core
-//    several independent FP-add chains per input);
+//    loops promote the accumulators out of memory);
+//  * rows in blocks of kRows sharing each loaded weight vector: kRows x
+//    kTile independent accumulators stay live across the input loop, so
+//    the FP-add chains of different rows overlap instead of one row's
+//    kTile/SIMD-width chains bounding the loop by add latency;
 //  * inputs in kIBlk slices with the batch loop inside, so the active wt
 //    slice (kIBlk x out doubles) stays L1-resident across the whole batch
-//    instead of streaming the full matrix from L2 once per row. Partial
-//    sums ride in the output rows between slices — an exact round-trip,
-//    and each y element still accumulates bias first and inputs 0..in-1
-//    in ascending order, exactly like the scalar forward().
+//    instead of streaming the full matrix from L2 once per row block.
+//    Partial sums ride in the output rows between slices — an exact
+//    round-trip.
+// None of the blocking changes any element's own accumulation order.
 MINICOST_TARGET_CLONES void gemm_wt_row_major(const double* wt,
                                               const double* bias,
                                               const double* x, std::size_t in,
                                               std::size_t out,
                                               std::size_t batch, double* y) {
   constexpr std::size_t kTile = 32;
+  constexpr std::size_t kRows = 4;
   constexpr std::size_t kIBlk = 64;
   for (std::size_t b = 0; b < batch; ++b) {
     double* yb = y + b * out;
@@ -39,7 +43,38 @@ MINICOST_TARGET_CLONES void gemm_wt_row_major(const double* wt,
   }
   for (std::size_t i0 = 0; i0 < in; i0 += kIBlk) {
     const std::size_t iend = std::min(in, i0 + kIBlk);
-    for (std::size_t b = 0; b < batch; ++b) {
+    std::size_t b = 0;
+    for (; b + kRows <= batch; b += kRows) {
+      const double* xb = x + b * in;
+      double* yb = y + b * out;
+      std::size_t o0 = 0;
+      for (; o0 + kTile <= out; o0 += kTile) {
+        double acc[kRows][kTile];
+        for (std::size_t r = 0; r < kRows; ++r)
+          for (std::size_t j = 0; j < kTile; ++j)
+            acc[r][j] = yb[r * out + o0 + j];
+        for (std::size_t i = i0; i < iend; ++i) {
+          const double* w = wt + i * out + o0;
+          for (std::size_t r = 0; r < kRows; ++r) {
+            const double xi = xb[r * in + i];
+            for (std::size_t j = 0; j < kTile; ++j) acc[r][j] += xi * w[j];
+          }
+        }
+        for (std::size_t r = 0; r < kRows; ++r)
+          for (std::size_t j = 0; j < kTile; ++j)
+            yb[r * out + o0 + j] = acc[r][j];
+      }
+      for (; o0 < out; ++o0) {
+        double sum[kRows];
+        for (std::size_t r = 0; r < kRows; ++r) sum[r] = yb[r * out + o0];
+        for (std::size_t i = i0; i < iend; ++i) {
+          const double w = wt[i * out + o0];
+          for (std::size_t r = 0; r < kRows; ++r) sum[r] += xb[r * in + i] * w;
+        }
+        for (std::size_t r = 0; r < kRows; ++r) yb[r * out + o0] = sum[r];
+      }
+    }
+    for (; b < batch; ++b) {
       const double* xb = x + b * in;
       double* yb = y + b * out;
       std::size_t o0 = 0;

@@ -1,11 +1,13 @@
 #include "rl/a3c.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -582,13 +584,48 @@ std::vector<Action> A3CAgent::act_batch(
   if (files.size() != current_tiers.size())
     throw std::invalid_argument("A3CAgent::act_batch: span width mismatch");
   MC_OBS_SCOPE("rl.a3c.act_batch");
-  const std::size_t n = files.size();
-  MC_OBS_COUNT("rl.a3c.act_batch.files", n);
-  std::vector<Action> actions(n);
-  if (n == 0) return actions;
+  MC_OBS_COUNT("rl.a3c.act_batch.files", files.size());
+  std::vector<Action> actions(files.size());
+  const std::size_t width = featurizer_.feature_count();
+  act_chunks(greedy, pool, actions,
+             [&](std::vector<double>& scratch, std::size_t lo,
+                 std::size_t rows) {
+               scratch.resize(rows * width);
+               const std::span<double> rows_span(scratch);
+               for (std::size_t r = 0; r < rows; ++r)
+                 featurizer_.encode_into(files[lo + r], day,
+                                         current_tiers[lo + r],
+                                         rows_span.subspan(r * width, width));
+               return std::span<const double>(scratch);
+             });
+  return actions;
+}
+
+std::vector<Action> A3CAgent::act_features_batch(std::span<const double> rows,
+                                                 std::size_t count, bool greedy,
+                                                 util::ThreadPool* pool) {
+  const std::size_t width = featurizer_.feature_count();
+  if (rows.size() != count * width)
+    throw std::invalid_argument(
+        "A3CAgent::act_features_batch: rows span width mismatch");
+  MC_OBS_SCOPE("rl.a3c.act_features_batch");
+  MC_OBS_COUNT("rl.a3c.act_features_batch.rows", count);
+  std::vector<Action> actions(count);
+  act_chunks(greedy, pool, actions,
+             [&](std::vector<double>&, std::size_t lo, std::size_t n_rows) {
+               return rows.subspan(lo * width, n_rows * width);
+             });
+  return actions;
+}
+
+void A3CAgent::act_chunks(bool greedy, util::ThreadPool* pool,
+                          std::span<Action> actions,
+                          const ChunkRows& chunk_rows) {
+  const std::size_t n = actions.size();
+  if (n == 0) return;
 
   // Snapshot the actor so the whole batch sees one parameter set and runs
-  // lock-free; cloning a few thousand parameters is noise against the batch.
+  // lock-free.
   nn::Network actor;
   {
     util::MutexLock lock(param_mutex_);
@@ -603,27 +640,24 @@ std::vector<Action> A3CAgent::act_batch(
   // never depend on the pool size. 256 keeps the transposed dense input
   // (hidden-layer in × chunk doubles) resident in L2.
   constexpr std::size_t kChunk = 256;
-  const std::size_t width = featurizer_.feature_count();
   const std::size_t out_width = actor.output_size();
   const std::size_t chunk_count = (n + kChunk - 1) / kChunk;
 
-  const auto run_chunk = [&](nn::Network& net, std::vector<double>& features,
+  const auto run_chunk = [&](nn::Network& net, std::vector<double>& scratch,
                              std::size_t c) {
     const std::size_t lo = c * kChunk;
     const std::size_t rows = std::min(n - lo, kChunk);
-    features.resize(rows * width);
-    const std::span<double> rows_span(features);
-    for (std::size_t r = 0; r < rows; ++r)
-      featurizer_.encode_into(files[lo + r], day, current_tiers[lo + r],
-                              rows_span.subspan(r * width, width));
-    std::vector<double> pi = net.forward_batch(features, rows);
+    std::vector<double> pi = net.forward_batch(chunk_rows(scratch, lo, rows),
+                                               rows);
     nn::softmax_rows(pi, rows, pi);
     for (std::size_t r = 0; r < rows; ++r) {
       const double* row = pi.data() + r * out_width;
       if (greedy) {
         actions[lo + r] = nn::argmax(std::span<const double>(row, out_width));
       } else {
-        // Mirror act(): each decision draws from the same forked stream.
+        // Mirror act(): every decision draws from the same forked stream,
+        // so identical rows yield identical actions — the invariant dedup
+        // and the decision cache rely on.
         util::Rng rng = seed_rng_.fork(act_stream);
         if (rng.bernoulli(config_.epsilon)) {
           actions[lo + r] =
@@ -635,84 +669,24 @@ std::vector<Action> A3CAgent::act_batch(
       }
     }
   };
-  if (pool && pool->size() > 1 && chunk_count > 1) {
-    // forward_batch state is per-thread: clone the snapshot per chunk.
-    pool->parallel_for(0, chunk_count, [&](std::size_t c) {
-      nn::Network net = actor;
-      std::vector<double> features;
-      run_chunk(net, features, c);
-    });
-  } else {
-    // Serial: one network and one feature buffer serve every chunk.
-    std::vector<double> features;
-    for (std::size_t c = 0; c < chunk_count; ++c)
-      run_chunk(actor, features, c);
+  if (pool == nullptr || pool->size() <= 1 || chunk_count <= 1) {
+    // Serial: the snapshot and one feature buffer serve every chunk.
+    std::vector<double> scratch;
+    for (std::size_t c = 0; c < chunk_count; ++c) run_chunk(actor, scratch, c);
+    return;
   }
-  return actions;
-}
-
-std::vector<Action> A3CAgent::act_features_batch(std::span<const double> rows,
-                                                 std::size_t count, bool greedy,
-                                                 util::ThreadPool* pool) {
-  const std::size_t width = featurizer_.feature_count();
-  if (rows.size() != count * width)
-    throw std::invalid_argument(
-        "A3CAgent::act_features_batch: rows span width mismatch");
-  MC_OBS_SCOPE("rl.a3c.act_features_batch");
-  MC_OBS_COUNT("rl.a3c.act_features_batch.rows", count);
-  std::vector<Action> actions(count);
-  if (count == 0) return actions;
-
-  // Same structure as act_batch minus featurization: snapshot the actor so
-  // the whole batch sees one parameter set, then run fixed-size chunks
-  // (pool-size-independent decisions, DESIGN.md §7).
-  nn::Network actor;
-  {
-    util::MutexLock lock(param_mutex_);
-    refresh_networks_locked();
-    actor = actor_;
-  }
-  const std::uint64_t act_stream =
-      kActStreamBase + env_steps_.load(std::memory_order_relaxed);
-
-  constexpr std::size_t kChunk = 256;
-  const std::size_t out_width = actor.output_size();
-  const std::size_t chunk_count = (count + kChunk - 1) / kChunk;
-
-  const auto run_chunk = [&](nn::Network& net, std::size_t c) {
-    const std::size_t lo = c * kChunk;
-    const std::size_t n_rows = std::min(count - lo, kChunk);
-    std::vector<double> pi =
-        net.forward_batch(rows.subspan(lo * width, n_rows * width), n_rows);
-    nn::softmax_rows(pi, n_rows, pi);
-    for (std::size_t r = 0; r < n_rows; ++r) {
-      const double* row = pi.data() + r * out_width;
-      if (greedy) {
-        actions[lo + r] = nn::argmax(std::span<const double>(row, out_width));
-      } else {
-        // Mirror act()/act_batch(): every decision draws from the same
-        // forked stream, so identical rows yield identical actions — the
-        // invariant dedup and the decision cache rely on.
-        util::Rng rng = seed_rng_.fork(act_stream);
-        if (rng.bernoulli(config_.epsilon)) {
-          actions[lo + r] =
-              static_cast<Action>(rng.uniform_int(0, kActionCount - 1));
-        } else {
-          actions[lo + r] =
-              rng.weighted_index(std::vector<double>(row, row + out_width));
-        }
-      }
+  // forward_batch state is per-thread, so each pool task clones the
+  // snapshot once, at its first chunk, and then claims chunks from a shared
+  // counter. Which task decides a chunk never changes the chunk's bits.
+  std::atomic<std::size_t> next{0};
+  pool->parallel_for(0, std::min(pool->size(), chunk_count), [&](std::size_t) {
+    std::optional<nn::Network> net;
+    std::vector<double> scratch;
+    for (std::size_t c = next++; c < chunk_count; c = next++) {
+      if (!net) net.emplace(actor);
+      run_chunk(*net, scratch, c);
     }
-  };
-  if (pool && pool->size() > 1 && chunk_count > 1) {
-    pool->parallel_for(0, chunk_count, [&](std::size_t c) {
-      nn::Network net = actor;
-      run_chunk(net, c);
-    });
-  } else {
-    for (std::size_t c = 0; c < chunk_count; ++c) run_chunk(actor, c);
-  }
-  return actions;
+  });
 }
 
 std::uint64_t A3CAgent::decision_fingerprint(bool greedy) {

@@ -244,6 +244,17 @@ class A3CAgent {
                            const std::vector<double>& weights,
                            std::size_t batch);
 
+  /// Returns chunk rows [lo, lo + rows) of a batch as packed feature rows;
+  /// may encode them into `scratch`, the calling task's buffer.
+  using ChunkRows = std::function<std::span<const double>(
+      std::vector<double>& scratch, std::size_t lo, std::size_t rows)>;
+
+  /// The shared body of act_batch/act_features_batch: snapshots the actor
+  /// and decides actions.size() rows in fixed 256-row chunks, serially or
+  /// over `pool` with one actor clone per pool task.
+  void act_chunks(bool greedy, util::ThreadPool* pool,
+                  std::span<Action> actions, const ChunkRows& chunk_rows);
+
   /// Lazily re-materializes actor_/critic_ from the parameter server if
   /// optimizer steps landed since the last refresh. Must precede any read
   /// of the networks (act/value/save paths).

@@ -2,8 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <set>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "core/decision_cache.hpp"
 #include "core/planner.hpp"
+#include "obs/metrics.hpp"
 #include "trace/synthetic.hpp"
 #include "util/thread_pool.hpp"
 
@@ -85,6 +95,140 @@ trace::RequestTrace make_integral_trace() {
   config.seed = 77;
   config.integral_counts = true;
   return trace::generate_synthetic(config);
+}
+
+// The dedup decide path's adversary: the integral trace plus, for 20 of
+// its files, an exact duplicate and near-duplicates that differ from the
+// original in exactly one decision input — size_gb or every write rate or
+// every read by one ulp, size_gb or every write rate by one, or the
+// current tier. One more file reads the same count every day, so its
+// window repeats across days and only the day phase tells them apart.
+struct DedupCase {
+  trace::RequestTrace trace;
+  std::vector<pricing::StorageTier> tiers;
+};
+
+DedupCase make_dedup_case() {
+  const trace::RequestTrace base = make_integral_trace();
+  const auto tier_of = [](std::size_t k) {
+    return pricing::tier_from_index(
+        static_cast<rl::Action>(k % pricing::kTierCount));
+  };
+  std::vector<trace::FileRecord> files = base.files();
+  std::vector<pricing::StorageTier> tiers;
+  for (std::size_t k = 0; k < files.size(); ++k) tiers.push_back(tier_of(k));
+  const auto add = [&](std::size_t k, const std::string& tag,
+                       const auto& edit, pricing::StorageTier tier) {
+    trace::FileRecord f = base.file(k);
+    f.name += "-" + tag;
+    edit(f);
+    files.push_back(std::move(f));
+    tiers.push_back(tier);
+  };
+  const auto ulp_up = [](double& v) {
+    v = std::nextafter(v, std::numeric_limits<double>::infinity());
+  };
+  for (std::size_t k = 0; k < 20; ++k) {
+    const pricing::StorageTier tier = tier_of(k);
+    add(k, "dup", [](trace::FileRecord&) {}, tier);
+    add(k, "size-ulp", [&](trace::FileRecord& f) { ulp_up(f.size_gb); }, tier);
+    add(k, "size-one", [](trace::FileRecord& f) { f.size_gb += 1.0; }, tier);
+    add(k, "write-ulp",
+        [&](trace::FileRecord& f) {
+          std::for_each(f.writes.begin(), f.writes.end(), ulp_up);
+        },
+        tier);
+    add(k, "write-one",
+        [](trace::FileRecord& f) { for (double& w : f.writes) w += 1.0; },
+        tier);
+    add(k, "read-ulp",
+        [&](trace::FileRecord& f) {
+          std::for_each(f.reads.begin(), f.reads.end(), ulp_up);
+        },
+        tier);
+    add(k, "tier", [](trace::FileRecord&) {}, tier_of(k + 1));
+  }
+  files.push_back({"steady", 0.5, std::vector<double>(base.days(), 3.0),
+                   std::vector<double>(base.days(), 1.0)});
+  tiers.push_back(pricing::StorageTier::kCool);
+  return {trace::RequestTrace(base.days(), std::move(files)),
+          std::move(tiers)};
+}
+
+TEST(RlPolicyTest, DedupDecideDayEqualsPerFileActBatch) {
+  const DedupCase dedup = make_dedup_case();
+  const trace::RequestTrace& tr = dedup.trace;
+  const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
+  util::ThreadPool pool1(1), pool4(4);
+  for (const bool greedy : {true, false}) {
+    for (util::ThreadPool* pool : {&pool1, &pool4}) {
+      for (const bool with_cache : {false, true}) {
+        rl::A3CAgent agent = make_agent();
+        RlPolicy policy(agent, greedy);
+        DecisionCache cache;
+        PlanContext context{tr, azure, 20, tr.days(), dedup.tiers, pool};
+        if (with_cache) context.decision_cache = &cache;
+        // Consecutive days, so the steady file's window repeats with only
+        // the day phase changed — a cache must not serve it across days.
+        for (std::size_t day = 20; day < 30; ++day) {
+          SCOPED_TRACE("greedy=" + std::to_string(greedy) +
+                       " pool=" + std::to_string(pool->size()) +
+                       " cache=" + std::to_string(with_cache) +
+                       " day=" + std::to_string(day));
+          const std::vector<rl::Action> reference = agent.act_batch(
+              tr.files(), day, dedup.tiers, greedy, /*pool=*/nullptr);
+          std::vector<pricing::StorageTier> plan(tr.file_count());
+          policy.decide_day(context, day, dedup.tiers, plan);
+          for (std::size_t i = 0; i < tr.file_count(); ++i)
+            ASSERT_EQ(plan[i], pricing::tier_from_index(reference[i]))
+                << "file " << tr.file(i).name;
+        }
+      }
+    }
+  }
+}
+
+TEST(RlPolicyTest, DedupCountersReportRowsAndUniqueRows) {
+  const DedupCase dedup = make_dedup_case();
+  const trace::RequestTrace& tr = dedup.trace;
+  const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
+  rl::A3CAgent agent = make_agent();
+  RlPolicy policy(agent);
+  const PlanContext context{tr, azure, 20, tr.days(), dedup.tiers};
+  const std::size_t day = 25;
+  const std::size_t h = agent.featurizer().history_len();
+  // Oracle: the distinct (read window, write rate, size, tier) bit
+  // patterns of the day.
+  std::set<std::vector<std::uint64_t>> states;
+  for (std::size_t i = 0; i < tr.file_count(); ++i) {
+    const trace::FileRecord& f = tr.file(i);
+    const auto window =
+        std::span<const double>(f.reads).subspan(day - h, h);
+    std::vector<double> state(window.begin(), window.end());
+    state.push_back(f.writes[day - 1]);
+    state.push_back(f.size_gb);
+    state.push_back(static_cast<double>(pricing::tier_index(dedup.tiers[i])));
+    std::vector<std::uint64_t> bits(state.size());
+    std::memcpy(bits.data(), state.data(), state.size() * sizeof(double));
+    states.insert(std::move(bits));
+  }
+
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::Counter& rows = obs::counter("core.rl.dedup.rows");
+  obs::Counter& unique = obs::counter("core.rl.dedup.unique_rows");
+  const std::uint64_t rows0 = rows.value();
+  const std::uint64_t unique0 = unique.value();
+  std::vector<pricing::StorageTier> plan(tr.file_count());
+  policy.decide_day(context, day, dedup.tiers, plan);
+  const std::uint64_t rows_added = rows.value() - rows0;
+  const std::uint64_t unique_added = unique.value() - unique0;
+  obs::set_enabled(was_enabled);
+  // No cache: every file enters the dedup and each distinct state is
+  // forwarded once; at least the 20 exact duplicates collapse.
+  EXPECT_EQ(rows_added, tr.file_count());
+  EXPECT_EQ(unique_added, states.size());
+  EXPECT_LE(unique_added, tr.file_count() - 20);
 }
 
 TEST(RlPolicyTest, CachedPlanIsBitIdenticalToUncached) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "nn/activation.hpp"
 #include "nn/conv1d.hpp"
@@ -163,6 +164,40 @@ TEST(DenseTest, ForwardBatchMatchesPerRowExactly) {
     layer.forward(std::span<const double>(in.data() + b * 3, 3), row_out);
     for (std::size_t o = 0; o < 4; ++o)
       EXPECT_EQ(out[b * 4 + o], row_out[o]) << "row " << b << " out " << o;
+  }
+}
+
+// The batch kernel blocks rows (4 at a time), outputs (32-wide tiles) and
+// inputs (64-wide slices); every block edge and tail must still give 0-ULP
+// per-row forward() results. 70 inputs span a full and a partial slice.
+TEST(DenseTest, ForwardBatchRowBlocksMatchPerRowForwardBitwise) {
+  constexpr std::size_t kIn = 70;
+  for (const std::size_t out_w : {3, 32, 33, 64}) {
+    util::Rng rng(30 + out_w);
+    Dense layer(kIn, out_w, rng);
+    // Non-zero biases, so bias-first accumulation order is pinned too.
+    auto params = layer.parameters();
+    for (std::size_t o = 0; o < out_w; ++o)
+      params[kIn * out_w + o] = rng.uniform(-1.0, 1.0);
+    for (const std::size_t batch : {1, 3, 4, 5, 255, 256, 257}) {
+      util::Rng data(batch * 101 + out_w);
+      std::vector<double> in(batch * kIn);
+      for (double& v : in) v = data.normal(0.0, 3.0);
+      std::vector<double> out(batch * out_w);
+      layer.forward_batch(in, out, batch);
+      std::vector<double> row_out(out_w);
+      std::size_t mismatches = 0;
+      for (std::size_t b = 0; b < batch; ++b) {
+        layer.forward(std::span<const double>(in.data() + b * kIn, kIn),
+                      row_out);
+        for (std::size_t o = 0; o < out_w; ++o)
+          mismatches += std::memcmp(&out[b * out_w + o], &row_out[o],
+                                    sizeof(double)) != 0
+                            ? 1
+                            : 0;
+      }
+      EXPECT_EQ(mismatches, 0u) << "batch " << batch << " out " << out_w;
+    }
   }
 }
 

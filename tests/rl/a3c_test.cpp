@@ -10,6 +10,7 @@
 
 #include "obs/metrics.hpp"
 #include "trace/synthetic.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace minicost::rl {
@@ -215,6 +216,39 @@ TEST(A3CAgentTest, ActFeaturesBatchMatchesActBatchOnEncodedRows) {
     SCOPED_TRACE("batch=" + std::to_string(batch));
     EXPECT_EQ(serial, reference);
     EXPECT_EQ(pooled, reference);
+  }
+}
+
+// Multi-chunk batches (the forward runs in 256-row chunks; a pool task
+// clones the actor once and decides every chunk it claims): the decisions
+// must not depend on the pool size or on which task ran a chunk, and must
+// equal per-row act(). Default widths, so the dense layers run their
+// row-blocked 32-wide tiles.
+TEST(A3CAgentTest, ActFeaturesBatchIsPoolSizeIndependentAcrossChunks) {
+  A3CConfig config;
+  config.workers = 1;
+  A3CAgent agent(config, 5);
+  const std::size_t width = agent.featurizer().feature_count();
+  util::ThreadPool one(1), many(4);
+  for (const std::size_t count : {std::size_t{257}, std::size_t{1283}}) {
+    util::Rng data(count);
+    std::vector<double> rows(count * width);
+    for (double& v : rows) v = data.normal(0.0, 2.0);
+    for (const bool greedy : {true, false}) {
+      SCOPED_TRACE("count=" + std::to_string(count) +
+                   " greedy=" + std::to_string(greedy));
+      const auto serial = agent.act_features_batch(rows, count, greedy, &one);
+      const auto sharded =
+          agent.act_features_batch(rows, count, greedy, &many);
+      EXPECT_EQ(serial, sharded);
+      ASSERT_EQ(serial.size(), count);
+      for (std::size_t i = 0; i < count; ++i)
+        ASSERT_EQ(serial[i],
+                  agent.act(std::span<const double>(rows).subspan(
+                                i * width, width),
+                            greedy))
+            << "row " << i;
+    }
   }
 }
 
