@@ -1,11 +1,16 @@
 // Microbenchmarks for the cost simulator: per-file-day cost evaluation, a
-// full daily billing pass, and the per-file optimal DP.
+// one-day billing pass, a full-horizon bill at 1 and all hardware threads,
+// and the per-file optimal DP.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <thread>
 
 #include "core/optimal.hpp"
 #include "sim/simulator.hpp"
 #include "trace/synthetic.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -48,19 +53,46 @@ void BM_Sim_DailyBillingPass(benchmark::State& state) {
 }
 BENCHMARK(BM_Sim_DailyBillingPass)->Unit(benchmark::kMillisecond);
 
+// The plan-baselines billing shape: 30k files x 35 days, every file
+// changing tier every one to four days, billed through StorageSimulator::run
+// at pool 1 and at hardware_threads (the Arg). ns_per_file_day is wall time.
 void BM_Sim_FullHorizonBilling(benchmark::State& state) {
-  const trace::RequestTrace& tr = bench_trace();
+  static const trace::RequestTrace tr = [] {
+    trace::SyntheticConfig config;
+    config.file_count = 30'000;
+    config.days = 35;
+    config.seed = 42;
+    return trace::generate_synthetic(config);
+  }();
+  static const sim::HorizonPlan plan = [] {
+    sim::HorizonPlan out(tr.days(), sim::DayPlan(tr.file_count()));
+    for (std::size_t t = 0; t < tr.days(); ++t)
+      for (std::size_t i = 0; i < tr.file_count(); ++i)
+        out[t][i] = pricing::tier_from_index((i + t / (1 + i % 4)) %
+                                             pricing::kTierCount);
+    return out;
+  }();
   const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
-  const sim::HorizonPlan plan(
-      tr.days(), sim::DayPlan(tr.file_count(), pricing::StorageTier::kCool));
+  util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  sim::SimulatorOptions options;
+  options.pool = &pool;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        sim::simulate(tr, azure, plan).grand_total().total());
+        sim::simulate(tr, azure, plan, options).grand_total().total());
   }
+  const auto file_days = static_cast<double>(tr.file_count() * tr.days());
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(tr.file_count() * tr.days()));
+                          static_cast<std::int64_t>(file_days));
+  state.counters["ns_per_file_day"] = benchmark::Counter(
+      file_days * 1e-9, benchmark::Counter::kIsIterationInvariantRate |
+                            benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_Sim_FullHorizonBilling)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Sim_FullHorizonBilling)
+    ->Arg(1)
+    ->Arg(static_cast<std::int64_t>(
+        std::max(1u, std::thread::hardware_concurrency())))
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_Sim_PerFileOptimalDp(benchmark::State& state) {
   const trace::RequestTrace& tr = bench_trace();

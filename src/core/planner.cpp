@@ -62,17 +62,15 @@ PlanResult run_policy(const trace::RequestTrace& trace,
     }
   }
 
-  // Bill the window: the simulator runs on the windowed trace so that
-  // storage/requests outside the window don't pollute the report.
+  // Bill the window in place: the report covers days [start_day, end_day)
+  // only, so storage/requests outside the window don't pollute it.
   MC_OBS_SCOPE("core.run_policy.billing");
-  const trace::RequestTrace window_trace =
-      trace.window(options.start_day, window);
   sim::SimulatorOptions sim_options;
   sim_options.initial_tiers = initial;
   sim_options.charge_initial_placement = options.charge_initial_placement;
   sim_options.pool = options.pool;
-  sim::StorageSimulator simulator(window_trace, pricing, sim_options);
-  result.report = simulator.run(result.plan);
+  result.report = sim::simulate_window(trace, pricing, result.plan,
+                                       options.start_day, sim_options);
   return result;
 }
 

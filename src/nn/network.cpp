@@ -1,5 +1,6 @@
 #include "nn/network.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "nn/activation.hpp"
@@ -182,6 +183,20 @@ void Network::load_parameters(std::span<const double> flat) {
     auto params = layer->parameters();
     for (std::size_t i = 0; i < params.size(); ++i) params[i] = flat[offset + i];
     offset += params.size();
+  }
+}
+
+void Network::assign_parameters_from(const Network& other) {
+  bool same = layers_.size() == other.layers_.size();
+  for (std::size_t i = 0; same && i < layers_.size(); ++i)
+    same = layers_[i]->spec() == other.layers_[i]->spec();
+  if (!same) {
+    *this = other;
+    return;
+  }
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    const Layer& from = *other.layers_[i];
+    std::ranges::copy(from.parameters(), layers_[i]->parameters().begin());
   }
 }
 

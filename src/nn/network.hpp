@@ -82,6 +82,12 @@ class Network {
   std::vector<double> snapshot_parameters() const;
   void load_parameters(std::span<const double> flat);
 
+  /// Makes this network compute what `other` computes. When both have the
+  /// same layer specs it copies other's parameters into this network's
+  /// layers, keeping this network's scratch buffers; otherwise it becomes a
+  /// copy of `other`.
+  void assign_parameters_from(const Network& other);
+
   /// Copies all accumulated gradients into one flat vector (matching the
   /// snapshot layout), optionally zeroing the accumulators.
   std::vector<double> collect_gradients(bool zero_after);

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -670,23 +669,45 @@ void A3CAgent::act_chunks(bool greedy, util::ThreadPool* pool,
     }
   };
   if (pool == nullptr || pool->size() <= 1 || chunk_count <= 1) {
-    // Serial: the snapshot and one feature buffer serve every chunk.
-    std::vector<double> scratch;
-    for (std::size_t c = 0; c < chunk_count; ++c) run_chunk(actor, scratch, c);
+    // Serial: one worker serves every chunk.
+    std::unique_ptr<ActWorker> worker = take_act_worker(actor);
+    for (std::size_t c = 0; c < chunk_count; ++c)
+      run_chunk(worker->net, worker->scratch, c);
+    return_act_worker(std::move(worker));
     return;
   }
-  // forward_batch state is per-thread, so each pool task clones the
-  // snapshot once, at its first chunk, and then claims chunks from a shared
-  // counter. Which task decides a chunk never changes the chunk's bits.
+  // forward_batch state is per-thread, so each pool task takes a worker
+  // loaded with the snapshot at its first chunk and then claims chunks from
+  // a shared counter. Which task decides a chunk never changes its bits.
   std::atomic<std::size_t> next{0};
   pool->parallel_for(0, std::min(pool->size(), chunk_count), [&](std::size_t) {
-    std::optional<nn::Network> net;
-    std::vector<double> scratch;
+    std::unique_ptr<ActWorker> worker;
     for (std::size_t c = next++; c < chunk_count; c = next++) {
-      if (!net) net.emplace(actor);
-      run_chunk(*net, scratch, c);
+      if (!worker) worker = take_act_worker(actor);
+      run_chunk(worker->net, worker->scratch, c);
     }
+    if (worker) return_act_worker(std::move(worker));
   });
+}
+
+std::unique_ptr<A3CAgent::ActWorker> A3CAgent::take_act_worker(
+    const nn::Network& actor) {
+  std::unique_ptr<ActWorker> worker;
+  {
+    util::MutexLock lock(act_workers_mutex_);
+    if (!act_workers_.empty()) {
+      worker = std::move(act_workers_.back());
+      act_workers_.pop_back();
+    }
+  }
+  if (!worker) worker = std::make_unique<ActWorker>();
+  worker->net.assign_parameters_from(actor);
+  return worker;
+}
+
+void A3CAgent::return_act_worker(std::unique_ptr<ActWorker> worker) {
+  util::MutexLock lock(act_workers_mutex_);
+  act_workers_.push_back(std::move(worker));
 }
 
 std::uint64_t A3CAgent::decision_fingerprint(bool greedy) {

@@ -251,9 +251,23 @@ class A3CAgent {
 
   /// The shared body of act_batch/act_features_batch: snapshots the actor
   /// and decides actions.size() rows in fixed 256-row chunks, serially or
-  /// over `pool` with one actor clone per pool task.
+  /// over `pool` with one ActWorker per pool task.
   void act_chunks(bool greedy, util::ThreadPool* pool,
                   std::span<Action> actions, const ChunkRows& chunk_rows);
+
+  /// A network and feature buffer for one act task. forward_batch scratch
+  /// runs to megabytes, so workers are kept across act calls: freeing and
+  /// faulting it in again per call made the allocator's trim decisions, not
+  /// the work, set the cost of a sharded plan.
+  struct ActWorker {
+    nn::Network net;
+    std::vector<double> scratch;
+  };
+  /// A spare worker (or a new one) loaded with `actor`'s parameters.
+  std::unique_ptr<ActWorker> take_act_worker(const nn::Network& actor)
+      MC_EXCLUDES(act_workers_mutex_);
+  void return_act_worker(std::unique_ptr<ActWorker> worker)
+      MC_EXCLUDES(act_workers_mutex_);
 
   /// Lazily re-materializes actor_/critic_ from the parameter server if
   /// optimizer steps landed since the last refresh. Must precede any read
@@ -279,6 +293,10 @@ class A3CAgent {
   std::uint64_t param_hash_version_ MC_GUARDED_BY(param_mutex_) = 0;
   bool param_hash_valid_ MC_GUARDED_BY(param_mutex_) = false;
   std::unique_ptr<ParamServer> server_;
+  // Spare act workers: at most as many as act tasks ever ran at once.
+  util::Mutex act_workers_mutex_;
+  std::vector<std::unique_ptr<ActWorker>> act_workers_
+      MC_GUARDED_BY(act_workers_mutex_);
 
   // Progress counters. All accesses use std::memory_order_relaxed: they are
   // monotone statistics (episode/step totals, warmup baseline) that gate

@@ -17,9 +17,9 @@ void BillingReport::charge(trace::FileId file, std::size_t day,
   exact.read.add(cost.read);
   exact.write.add(cost.write);
   exact.change.add(cost.change);
-  // A file's charges always arrive in day order from exactly one simulator
-  // run, so this fold's order is fixed (see the header comment).
-  // lint-ast: allow(billing-exact-sum) -- per-file folds are day-ordered within one run
+  // A file's charges arrive in day order into exactly one chunk-local
+  // report, so this fold's order is fixed (see the header comment).
+  // lint-ast: allow(billing-exact-sum) -- per-file folds are day-ordered within one chunk
   per_file_total_.at(file) += cost.total();
   stale_ = true;
 }

@@ -10,8 +10,10 @@
 // per-day values. Two reports over the same multiset of charges — however
 // the charges were ordered, grouped, or split across shard reports merged
 // with merge()/merge_shard() — are therefore byte-identical (DESIGN.md §9).
-// Per-file totals stay plain doubles: a file's charges always arrive in day
-// order from exactly one simulator run, so their fold order is fixed.
+// Per-file totals stay plain doubles: each billing call charges a file's
+// days in order, from zero, into exactly one chunk-local report that is
+// merged once, so a file's fold order is fixed by the plan, never by the
+// chunking or the pool size.
 
 #include <cstdint>
 #include <vector>

@@ -13,14 +13,19 @@ CostBreakdown file_day_cost(const pricing::PricingPolicy& policy,
   return cost;
 }
 
+FileTierRates file_tier_rates(const pricing::PricingPolicy& policy,
+                              pricing::StorageTier tier, double gb) noexcept {
+  return {policy.storage_cost_per_day(tier, gb),
+          policy.read_cost(tier, 1.0, gb), policy.write_cost(tier, 1.0, gb)};
+}
+
 CostBreakdown file_day_cost_no_change(const pricing::PricingPolicy& policy,
                                       pricing::StorageTier tier, double reads,
                                       double writes, double gb) noexcept {
-  CostBreakdown cost;
-  cost.storage = policy.storage_cost_per_day(tier, gb);
-  cost.read = policy.read_cost(tier, reads, gb);
-  cost.write = policy.write_cost(tier, writes, gb);
-  return cost;
+  // read_cost(tier, ops, gb) is ops * (unit price), and 1.0 * x == x, so
+  // scaling the one-op rate gives the same bits.
+  const FileTierRates rates = file_tier_rates(policy, tier, gb);
+  return {rates.storage, reads * rates.read, writes * rates.write, 0.0};
 }
 
 pricing::StorageTier best_static_tier(const pricing::PricingPolicy& policy,

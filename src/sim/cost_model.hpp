@@ -35,6 +35,19 @@ struct CostBreakdown {
   }
 };
 
+/// The Eq. 6-8 rates of a `gb`-sized file in one tier: the cost of a day at
+/// rest (Cs), of one read (Eq. 7's bracket) and of one write (Eq. 8's).
+/// file_day_cost_no_change is {storage, reads * read, writes * write} of
+/// these, so a caller that prices many days of one file may hoist them.
+struct FileTierRates {
+  double storage = 0.0;
+  double read = 0.0;
+  double write = 0.0;
+};
+
+FileTierRates file_tier_rates(const pricing::PricingPolicy& policy,
+                              pricing::StorageTier tier, double gb) noexcept;
+
 /// Cost of one file for one day: the file sits in `tier`, having been in
 /// `previous_tier` the day before (the Θ of Eq. 9 is tier != previous_tier),
 /// and serves `reads`/`writes` operations of a `gb`-sized object.

@@ -1,6 +1,9 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
@@ -8,8 +11,84 @@
 namespace minicost::sim {
 namespace {
 
-/// Below this width a day's bill is cheaper to price inline than to shard.
-constexpr std::size_t kParallelBillingGrain = 1024;
+std::vector<pricing::StorageTier> starting_tiers(
+    const SimulatorOptions& options, std::size_t files) {
+  if (options.initial_tiers.empty())
+    return std::vector<pricing::StorageTier>(files, options.initial_tier);
+  if (options.initial_tiers.size() != files)
+    throw std::invalid_argument(
+        "StorageSimulator: initial_tiers width mismatch");
+  return options.initial_tiers;
+}
+
+/// The one billing kernel. Bills plan[t] against trace day first_day + t
+/// into report day report_day + t. Files are walked in kBillingChunkFiles
+/// chunks over the pool; inside a chunk each file's days are priced in day
+/// order (from its hoisted FileTierRates: file_day_cost_no_change's bits)
+/// and charged into a chunk-local report, and the chunk reports are
+/// folded into `report` in chunk order with merge_shard. Day totals are
+/// ExactSums, so the grouping cannot change their bytes; a file's total is
+/// folded in day order inside its one chunk (DESIGN.md §9). `tiers` holds
+/// every file's tier entering the plan and leaves holding its last tier.
+/// Everything is validated before anything is billed.
+void bill_file_major(const trace::RequestTrace& trace,
+                     const pricing::PricingPolicy& policy,
+                     std::span<const DayPlan> plan, std::size_t first_day,
+                     std::size_t report_day, bool charge_initial_placement,
+                     std::span<pricing::StorageTier> tiers,
+                     util::ThreadPool* pool, BillingReport& report) {
+  if (first_day + plan.size() > trace.days() ||
+      report_day + plan.size() > report.days())
+    throw std::out_of_range(
+        "StorageSimulator: plan runs past the trace horizon");
+  const std::size_t n = trace.file_count();
+  for (const DayPlan& day_plan : plan)
+    if (day_plan.size() != n)
+      throw std::invalid_argument("StorageSimulator: plan width " +
+                                  std::to_string(day_plan.size()) +
+                                  " != file count " + std::to_string(n));
+  MC_OBS_SCOPE("sim.simulator.run");
+  MC_OBS_COUNT("sim.simulator.file_days", plan.size() * n);
+
+  const std::vector<trace::FileRecord>& files = trace.files();
+  const std::size_t chunks = (n + kBillingChunkFiles - 1) / kBillingChunkFiles;
+  std::vector<BillingReport> partial(chunks);
+  const auto bill_chunk = [&](std::size_t c) {
+    const std::size_t first = c * kBillingChunkFiles;
+    const std::size_t count = std::min(kBillingChunkFiles, n - first);
+    BillingReport local(count, report.days());
+    for (std::size_t k = 0; k < count; ++k) {
+      const trace::FileRecord& f = files[first + k];
+      const double* reads = f.reads.data() + first_day;
+      const double* writes = f.writes.data() + first_day;
+      std::array<FileTierRates, pricing::kTierCount> rates;
+      for (const pricing::StorageTier tier : pricing::all_tiers())
+        rates[pricing::tier_index(tier)] =
+            file_tier_rates(policy, tier, f.size_gb);
+      pricing::StorageTier previous = tiers[first + k];
+      for (std::size_t t = 0; t < plan.size(); ++t) {
+        const pricing::StorageTier tier = plan[t][first + k];
+        const std::size_t day = report_day + t;
+        const FileTierRates& rate = rates[pricing::tier_index(tier)];
+        CostBreakdown cost{rate.storage, reads[t] * rate.read,
+                           writes[t] * rate.write, 0.0};
+        if (tier != previous) {
+          if (day > 0 || charge_initial_placement)
+            cost.change = policy.change_cost(previous, tier, f.size_gb);
+          local.count_change(day);
+          previous = tier;
+        }
+        local.charge(static_cast<trace::FileId>(k), day, cost);
+      }
+      tiers[first + k] = previous;
+    }
+    partial[c] = std::move(local);
+  };
+  util::ThreadPool& workers = pool ? *pool : util::ThreadPool::shared();
+  workers.parallel_for(0, chunks, bill_chunk);
+  for (std::size_t c = 0; c < chunks; ++c)
+    report.merge_shard(partial[c], c * kBillingChunkFiles);
+}
 
 }  // namespace
 
@@ -19,86 +98,50 @@ StorageSimulator::StorageSimulator(const trace::RequestTrace& trace,
     : trace_(trace),
       policy_(policy),
       options_(std::move(options)),
-      tiers_(options_.initial_tiers.empty()
-                 ? std::vector<pricing::StorageTier>(trace.file_count(),
-                                                     options_.initial_tier)
-                 : options_.initial_tiers),
-      report_(trace.file_count(), trace.days()) {
-  if (tiers_.size() != trace.file_count())
-    throw std::invalid_argument(
-        "StorageSimulator: initial_tiers width mismatch");
-}
+      tiers_(starting_tiers(options_, trace.file_count())),
+      report_(trace.file_count(), trace.days()) {}
 
 void StorageSimulator::advance(const DayPlan& plan) {
-  if (day_ >= trace_.days())
-    throw std::out_of_range("StorageSimulator::advance: past trace horizon");
-  if (plan.size() != trace_.file_count())
-    throw std::invalid_argument("StorageSimulator::advance: plan width " +
-                                std::to_string(plan.size()) + " != file count " +
-                                std::to_string(trace_.file_count()));
-
-  const bool charge_change = day_ > 0 || options_.charge_initial_placement;
-  const auto& files = trace_.files();
-  const std::size_t n = files.size();
-
-  // Phase 1 — price every file-day. Independent per file (the cost model is
-  // separable), so it shards across the pool; writes are disjoint.
-  day_costs_.resize(n);
-  day_changed_.assign(n, 0);
-  const auto price_file = [&](std::size_t i) {
-    const trace::FileRecord& f = files[i];
-    const pricing::StorageTier tier = plan[i];
-    CostBreakdown cost = file_day_cost_no_change(
-        policy_, tier, f.reads[day_], f.writes[day_], f.size_gb);
-    if (tier != tiers_[i]) {
-      if (charge_change)
-        cost.change = policy_.change_cost(tiers_[i], tier, f.size_gb);
-      day_changed_[i] = 1;
-      tiers_[i] = tier;
-    }
-    day_costs_[i] = cost;
-  };
-  util::ThreadPool& pool =
-      options_.pool ? *options_.pool : util::ThreadPool::shared();
-  if (pool.size() > 1 && n >= kParallelBillingGrain) {
-    pool.parallel_for(0, n, price_file);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) price_file(i);
-  }
-
-  // Phase 2 — accumulate in file order on one thread: the exact floating-
-  // point reduction order of the serial path, so bills stay byte-identical
-  // regardless of pool size.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (day_changed_[i]) report_.count_change(day_);
-    report_.charge(static_cast<trace::FileId>(i), day_, day_costs_[i]);
-  }
-  ++day_;
+  run_days(std::span<const DayPlan>(&plan, 1));
 }
 
 const BillingReport& StorageSimulator::run(const HorizonPlan& plan) {
-  MC_OBS_SCOPE("sim.simulator.run");
-  MC_OBS_COUNT("sim.simulator.file_days", plan.size() * trace_.file_count());
-  for (const DayPlan& day_plan : plan) advance(day_plan);
+  run_days(plan);
   return report_;
+}
+
+void StorageSimulator::run_days(std::span<const DayPlan> plan) {
+  bill_file_major(trace_, policy_, plan, day_, day_,
+                  options_.charge_initial_placement, tiers_, options_.pool,
+                  report_);
+  day_ += plan.size();
 }
 
 void StorageSimulator::reset() {
   day_ = 0;
-  if (options_.initial_tiers.empty()) {
-    tiers_.assign(trace_.file_count(), options_.initial_tier);
-  } else {
-    tiers_ = options_.initial_tiers;
-  }
+  tiers_ = starting_tiers(options_, trace_.file_count());
   report_ = BillingReport(trace_.file_count(), trace_.days());
 }
 
 BillingReport simulate(const trace::RequestTrace& trace,
                        const pricing::PricingPolicy& policy,
                        const HorizonPlan& plan, SimulatorOptions options) {
-  StorageSimulator sim(trace, policy, options);
+  StorageSimulator sim(trace, policy, std::move(options));
   sim.run(plan);
   return sim.report();
+}
+
+BillingReport simulate_window(const trace::RequestTrace& trace,
+                              const pricing::PricingPolicy& policy,
+                              const HorizonPlan& plan, std::size_t first_day,
+                              const SimulatorOptions& options) {
+  std::vector<pricing::StorageTier> tiers =
+      starting_tiers(options, trace.file_count());
+  BillingReport report(trace.file_count(), plan.size());
+  bill_file_major(trace, policy, plan, first_day, 0,
+                  options.charge_initial_placement, tiers, options.pool,
+                  report);
+  return report;
 }
 
 double file_sequence_cost(const pricing::PricingPolicy& policy,

@@ -10,7 +10,8 @@
 // then billed at plan[t]'s prices. Day 0 placements are free by default
 // (initial upload, no re-tiering happened).
 
-#include <cstdint>
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "pricing/policy.hpp"
@@ -29,6 +30,12 @@ using DayPlan = std::vector<pricing::StorageTier>;
 /// Plans for a run of consecutive days; index = day.
 using HorizonPlan = std::vector<DayPlan>;
 
+/// Files per billing chunk: the unit of parallel work and of the
+/// chunk-local report that the billing kernel folds with merge_shard. Fixed,
+/// so the grouping never depends on the pool size (and exact day totals make
+/// every grouping produce the same bytes anyway, DESIGN.md §9).
+inline constexpr std::size_t kBillingChunkFiles = 1024;
+
 struct SimulatorOptions {
   /// Tier every file starts in before day 0 (the "type specified by the
   /// cloud customer", Sec. 5.1). Ignored when initial_tiers is non-empty.
@@ -38,10 +45,11 @@ struct SimulatorOptions {
   /// Charge Cc when day 0's plan differs from the starting tier. Off by
   /// default: the initial placement is part of the upload, not a re-tiering.
   bool charge_initial_placement = false;
-  /// Pool for per-file daily billing; nullptr = the process-shared pool.
-  /// The cost model is separable across files (DESIGN.md), so pricing runs
-  /// in parallel while the report accumulates serially in file order — the
-  /// bill is byte-identical to the serial path for every pool size.
+  /// Pool for billing; nullptr = the process-shared pool. The cost model is
+  /// separable across files (DESIGN.md §9), so the kernel bills
+  /// kBillingChunkFiles-file chunks in parallel, each file's days in order
+  /// into a chunk-local report, and folds the chunks with merge_shard — the
+  /// bill is byte-identical for every pool size.
   util::ThreadPool* pool = nullptr;
 };
 
@@ -52,12 +60,14 @@ class StorageSimulator {
                    const pricing::PricingPolicy& policy,
                    SimulatorOptions options = {});
 
-  /// Applies one day's plan and bills it. Days must be advanced in order;
-  /// throws std::invalid_argument on a plan of the wrong width and
-  /// std::out_of_range past the trace horizon.
+  /// Applies one day's plan and bills it: run() over a one-day plan. Days
+  /// must be advanced in order; throws std::invalid_argument on a plan of the
+  /// wrong width and std::out_of_range past the trace horizon.
   void advance(const DayPlan& plan);
 
-  /// Advances through all days of `plan`. Returns the final report.
+  /// Advances through all days of `plan` from current_day(). Returns the
+  /// final report. From day 0, a day-by-day advance() loop gives the same
+  /// bytes. Throws like advance(), before billing anything.
   const BillingReport& run(const HorizonPlan& plan);
 
   std::size_t current_day() const noexcept { return day_; }
@@ -76,15 +86,23 @@ class StorageSimulator {
   std::size_t day_ = 0;
   std::vector<pricing::StorageTier> tiers_;
   BillingReport report_;
-  // Per-day scratch for the parallel pricing phase (reused across days).
-  std::vector<CostBreakdown> day_costs_;
-  std::vector<std::uint8_t> day_changed_;
+
+  void run_days(std::span<const DayPlan> plan);
 };
 
 /// One-shot convenience: bill `plan` over `trace` under `policy`.
 BillingReport simulate(const trace::RequestTrace& trace,
                        const pricing::PricingPolicy& policy,
                        const HorizonPlan& plan, SimulatorOptions options = {});
+
+/// Bills `plan` over trace days [first_day, first_day + plan.size()) of
+/// `trace` in place: report day t is trace day first_day + t. Byte-identical
+/// to simulate() over trace.window(first_day, plan.size()), without copying
+/// the window. Throws like StorageSimulator::run.
+BillingReport simulate_window(const trace::RequestTrace& trace,
+                              const pricing::PricingPolicy& policy,
+                              const HorizonPlan& plan, std::size_t first_day,
+                              const SimulatorOptions& options = {});
 
 /// Bills a single file's tier sequence (used by the per-file planners; the
 /// cost model is separable across files, see DESIGN.md). `tiers[t]` is the

@@ -11,46 +11,20 @@ constexpr std::uint64_t kLimbMask = 0xFFFFFFFFULL;
 
 }  // namespace
 
-void ExactSum::add(double x) {
-  if (!std::isfinite(x))
-    throw std::invalid_argument("ExactSum::add: non-finite addend");
-  if (x == 0.0) return;  // ±0 contributes nothing (and has no mantissa bits)
-
-  const auto bits = std::bit_cast<std::uint64_t>(x);
-  const bool negative = (bits >> 63) != 0;
-  const std::uint64_t biased = (bits >> 52) & 0x7FF;
-  const std::uint64_t fraction = bits & ((1ULL << 52) - 1);
-  // x = ± m * 2^(e) with m < 2^53; subnormals (biased == 0) share the
-  // exponent of the smallest normal. Bit position 0 of the accumulator
-  // weighs 2^-1074, so m's least bit lands at position p >= 0.
-  const std::uint64_t m = biased == 0 ? fraction : fraction | (1ULL << 52);
-  const std::uint64_t p = (biased == 0 ? 1 : biased) - 1;  // == e + 1074
-
-  const std::size_t limb = p >> 5;
-  const std::uint64_t shift = p & 31;
-  // m << shift spans up to 84 bits; split it over three 32-bit limbs.
-  const std::uint64_t low = m << shift;                       // bits 0..63
-  const std::uint64_t high = shift == 0 ? 0 : m >> (64 - shift);  // bits 64..
-  const std::int64_t c0 = static_cast<std::int64_t>(low & kLimbMask);
-  const std::int64_t c1 = static_cast<std::int64_t>(low >> 32);
-  const std::int64_t c2 = static_cast<std::int64_t>(high);
-  if (negative) {
-    limbs_[limb] -= c0;
-    limbs_[limb + 1] -= c1;
-    limbs_[limb + 2] -= c2;
-  } else {
-    limbs_[limb] += c0;
-    limbs_[limb + 1] += c1;
-    limbs_[limb + 2] += c2;
-  }
-  if (++pending_ >= kMaxPending) normalize();
+void ExactSum::reject_non_finite() {
+  throw std::invalid_argument("ExactSum::add: non-finite addend");
 }
 
 void ExactSum::add(const ExactSum& other) noexcept {
-  normalize();
-  other.normalize();
+  // Every limb below the top one stays under (pending_ + 1) * 2^32 in
+  // magnitude, so two states add limb-wise without a carry pass until their
+  // combined count would reach kMaxPending.
+  if (std::uint64_t{pending_} + other.pending_ + 1 >= kMaxPending) {
+    normalize();
+    other.normalize();
+  }
   for (std::size_t i = 0; i < kLimbs; ++i) limbs_[i] += other.limbs_[i];
-  pending_ = 2;  // at most one normalized state's worth per limb was added
+  pending_ += other.pending_ + 1;
 }
 
 void ExactSum::normalize() const noexcept {

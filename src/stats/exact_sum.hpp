@@ -18,9 +18,12 @@
 // for every shard size (DESIGN.md §9).
 //
 // Costs: ~544 bytes of state; add(double) is a handful of ALU ops (no
-// branches on magnitude, no tables); add(ExactSum) merges exactly.
+// branches on magnitude, no tables) and is inline, because the billing
+// kernel makes four of them per file-day; add(ExactSum) merges exactly.
 
 #include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 
 namespace minicost::stats {
@@ -32,7 +35,39 @@ class ExactSum {
   /// Adds one finite double to the exact sum. Throws std::invalid_argument
   /// on NaN or infinity (a bill must stay finite; feeding one non-finite
   /// charge would silently poison every later total).
-  void add(double x);
+  void add(double x) {
+    const auto bits = std::bit_cast<std::uint64_t>(x);
+    const std::uint64_t biased = (bits >> 52) & 0x7FF;
+    if (biased == 0x7FF) reject_non_finite();
+    // ±0 contributes nothing (and has no mantissa bits).
+    if ((bits << 1) == 0) return;
+
+    const std::uint64_t fraction = bits & ((1ULL << 52) - 1);
+    // x = ± m * 2^(e) with m < 2^53; subnormals (biased == 0) share the
+    // exponent of the smallest normal. Bit position 0 of the accumulator
+    // weighs 2^-1074, so m's least bit lands at position p >= 0.
+    const std::uint64_t m = biased == 0 ? fraction : fraction | (1ULL << 52);
+    const std::uint64_t p = (biased == 0 ? 1 : biased) - 1;  // == e + 1074
+
+    const std::size_t limb = p >> 5;
+    const std::uint64_t shift = p & 31;
+    // m << shift spans up to 84 bits; split it over three 32-bit limbs.
+    const std::uint64_t low = m << shift;                       // bits 0..63
+    const std::uint64_t high = shift == 0 ? 0 : m >> (64 - shift);  // 64..
+    const auto c0 = static_cast<std::int64_t>(low & 0xFFFFFFFFULL);
+    const auto c1 = static_cast<std::int64_t>(low >> 32);
+    const auto c2 = static_cast<std::int64_t>(high);
+    if ((bits >> 63) != 0) {
+      limbs_[limb] -= c0;
+      limbs_[limb + 1] -= c1;
+      limbs_[limb + 2] -= c2;
+    } else {
+      limbs_[limb] += c0;
+      limbs_[limb + 1] += c1;
+      limbs_[limb + 2] += c2;
+    }
+    if (++pending_ >= kMaxPending) normalize();
+  }
 
   /// Adds another accumulator's exact sum (associative and exact, so any
   /// merge tree over the same addends yields the same state).
@@ -58,6 +93,7 @@ class ExactSum {
   static constexpr std::uint32_t kMaxPending = 1u << 29;
 
   void normalize() const noexcept;
+  [[noreturn]] static void reject_non_finite();
 
   mutable std::array<std::int64_t, kLimbs> limbs_;
   mutable std::uint32_t pending_ = 0;

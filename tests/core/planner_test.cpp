@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "core/greedy.hpp"
 #include "core/optimal.hpp"
 #include "trace/synthetic.hpp"
+#include "util/thread_pool.hpp"
 
 namespace minicost::core {
 namespace {
@@ -100,6 +103,54 @@ TEST(RunPolicyTest, OptimalNeverCostsMoreThanAnyOtherPolicy) {
     const double cost =
         run_policy(tr, azure, *policy, options).report.grand_total().total();
     EXPECT_GE(cost, opt - 1e-9) << policy->name();
+  }
+}
+
+TEST(RunPolicyTest, MidTraceBillEqualsBillingAWindowCopy) {
+  // run_policy bills the window in place; the bytes must be those of
+  // billing a trace.window() copy of it.
+  trace::SyntheticConfig config;
+  config.file_count = sim::kBillingChunkFiles + 3;
+  config.days = 40;
+  config.seed = 31;
+  const trace::RequestTrace tr = trace::generate_synthetic(config);
+  const pricing::PricingPolicy azure = pricing::PricingPolicy::azure_2020();
+  util::ThreadPool one(1), four(4);
+  for (util::ThreadPool* pool : {&one, &four}) {
+    GreedyPolicy greedy;
+    PlanOptions options;
+    options.start_day = 14;
+    options.end_day = 34;
+    options.initial_tiers = static_initial_tiers(tr, azure, 14);
+    options.pool = pool;
+    const PlanResult result = run_policy(tr, azure, greedy, options);
+    ASSERT_GT(result.report.tier_changes(), 0u);
+
+    sim::SimulatorOptions copy_options;
+    copy_options.initial_tiers = options.initial_tiers;
+    copy_options.charge_initial_placement = options.charge_initial_placement;
+    copy_options.pool = pool;
+    const sim::BillingReport copy =
+        sim::simulate(tr.window(14, 20), azure, result.plan, copy_options);
+
+    ASSERT_EQ(result.report.days(), copy.days());
+    for (std::size_t d = 0; d < copy.days(); ++d) {
+      const sim::CostBreakdown& a = result.report.day(d);
+      const sim::CostBreakdown& b = copy.day(d);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.storage),
+                std::bit_cast<std::uint64_t>(b.storage)) << "day " << d;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.read),
+                std::bit_cast<std::uint64_t>(b.read)) << "day " << d;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.write),
+                std::bit_cast<std::uint64_t>(b.write)) << "day " << d;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.change),
+                std::bit_cast<std::uint64_t>(b.change)) << "day " << d;
+      EXPECT_EQ(result.report.tier_changes_on(d), copy.tier_changes_on(d));
+    }
+    for (std::size_t f = 0; f < copy.file_count(); ++f)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(result.report.per_file_totals()[f]),
+                std::bit_cast<std::uint64_t>(copy.per_file_totals()[f]))
+          << "file " << f;
   }
 }
 

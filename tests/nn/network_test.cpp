@@ -73,6 +73,27 @@ TEST(NetworkTest, CopyIsDeep) {
   EXPECT_NE(net.snapshot_parameters()[0], copy.snapshot_parameters()[0]);
 }
 
+TEST(NetworkTest, AssignParametersFromCopiesOrClones) {
+  util::Rng rng(61);
+  Network source = tiny_net(rng);
+  Network target = tiny_net(rng);  // same specs, different weights
+  const std::vector<double> input{0.5, -0.2, 1.0};
+  (void)target.forward_batch(input, 1);  // give it scratch to keep
+  target.assign_parameters_from(source);
+  EXPECT_EQ(target.snapshot_parameters(), source.snapshot_parameters());
+  EXPECT_EQ(target.forward_batch(input, 1), source.forward(input));
+
+  // A different architecture is replaced wholesale.
+  Network wider;
+  wider.add(std::make_unique<Dense>(3, 6, rng));
+  wider.add(std::make_unique<Relu>(6));
+  wider.add(std::make_unique<Dense>(6, 2, rng));
+  target.assign_parameters_from(wider);
+  EXPECT_EQ(target.parameter_count(), wider.parameter_count());
+  EXPECT_EQ(target.snapshot_parameters(), wider.snapshot_parameters());
+  EXPECT_EQ(target.forward(input), wider.forward(input));
+}
+
 TEST(NetworkTest, CollectGradientsZeroAfterFlagWorks) {
   util::Rng rng(7);
   Network net = tiny_net(rng);

@@ -252,6 +252,38 @@ TEST(A3CAgentTest, ActFeaturesBatchIsPoolSizeIndependentAcrossChunks) {
   }
 }
 
+TEST(A3CAgentTest, ActFeaturesBatchFollowsParameterUpdatesAcrossCalls) {
+  // act workers outlive a call; after training moves the parameters, the
+  // next batch must decide with the new ones, exactly as per-row act().
+  A3CAgent agent(tiny_config(), 6);
+  const std::size_t width = agent.featurizer().feature_count();
+  constexpr std::size_t kCount = 600;  // three chunks
+  util::Rng data(17);
+  std::vector<double> rows(kCount * width);
+  for (double& v : rows) v = data.normal(0.0, 2.0);
+  util::ThreadPool one(1), many(4);
+  const auto expect_per_row = [&](const std::vector<Action>& actions) {
+    ASSERT_EQ(actions.size(), kCount);
+    for (std::size_t i = 0; i < kCount; ++i)
+      ASSERT_EQ(actions[i],
+                agent.act(std::span<const double>(rows).subspan(i * width, width),
+                          true))
+          << "row " << i;
+  };
+  const auto before = agent.act_features_batch(rows, kCount, true, &many);
+  expect_per_row(before);
+  expect_per_row(agent.act_features_batch(rows, kCount, true, &one));
+
+  const std::uint64_t fingerprint = agent.decision_fingerprint(true);
+  TrainOptions options;
+  options.episodes = 8;
+  options.report_every = 8;
+  agent.train(small_trace(), pricing::PricingPolicy::azure_2020(), options);
+  ASSERT_NE(agent.decision_fingerprint(true), fingerprint);
+  expect_per_row(agent.act_features_batch(rows, kCount, true, &many));
+  expect_per_row(agent.act_features_batch(rows, kCount, true, &one));
+}
+
 TEST(A3CAgentTest, ActFeaturesBatchValidatesRowBufferWidth) {
   A3CAgent agent(tiny_config(), 4);
   const std::size_t width = agent.featurizer().feature_count();

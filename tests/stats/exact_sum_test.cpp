@@ -152,6 +152,34 @@ TEST(ExactSumTest, ManyAddsTriggerCarryPropagation) {
   EXPECT_EQ(s.value(), expected);
 }
 
+TEST(ExactSumTest, MergesWithoutCarryingUntilThePendingBound) {
+  // Merges add limbs without a carry pass while the combined pending count
+  // stays under the bound. Merging a state into itself doubles both the sum
+  // and the count, so 40 self-merges cross the 2^29 bound (and normalize)
+  // while the sum stays exactly x * 2^40; negative and mixed-sign limbs ride
+  // along through -x.
+  for (const double x : {0.1, -0.1, 3.0e-300, 1.0 / 3.0}) {
+    ExactSum s;
+    s.add(x);
+    s.add(-x / 4);
+    for (int i = 0; i < 40; ++i) s.add(s);
+    EXPECT_EQ(s.value(), std::ldexp(x - x / 4, 40)) << x;
+  }
+  // Merging fresh states with many pending adds, as the billing kernel does
+  // with chunk-local reports, must equal one accumulator fed everything.
+  ExactSum whole, merged;
+  for (int part = 0; part < 8; ++part) {
+    ExactSum local;
+    for (int i = 0; i < 1000; ++i) {
+      const double v = (part % 2 == 0 ? 1.0 : -1.0) * (0.3 + i) * std::ldexp(1.0, part * 7);
+      local.add(v);
+      whole.add(v);
+    }
+    merged.add(local);
+  }
+  EXPECT_EQ(merged.value(), whole.value());
+}
+
 TEST(ExactSumTest, ResetClears) {
   ExactSum s;
   s.add(42.0);
