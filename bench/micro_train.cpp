@@ -12,15 +12,14 @@
 //    "update_speedup":...}
 //
 // A second section measures multi-worker training scaling: end-to-end
-// episodes/second at 1/2/4/8/16 workers on the sharded parameter server
+// episodes/second at 1/2/4/8/16 workers through the parameter server
 // (ParamServer, DESIGN.md §14), plus the derived scaling_4w speedup and
 // parallel_efficiency_4w = scaling_4w / 4 that the CI perf gate reads.
 //
 // MINICOST_SCALE overrides the trace file count (default 2000);
 // MINICOST_SEED the trace/agent seed;
-// MINICOST_TRAIN_SHARDS the parameter shard count for the scaling runs
-// (default 8); MINICOST_TRAIN_SCALING_EPISODES the episodes per scaling
-// point (default 1500).
+// MINICOST_TRAIN_SCALING_EPISODES the episodes per scaling point (default
+// 1500).
 
 #include <cstdio>
 #include <string>
@@ -79,14 +78,13 @@ Measurement measure(bool batched, const trace::RequestTrace& trace,
 }
 
 // End-to-end episodes/second of a fresh fixed-seed agent trained with
-// `workers` threads on `shards` parameter shards (deterministic wavefront
-// path; no init racing so the measured phase is pure training).
-double scaling_eps_per_sec(std::size_t workers, std::size_t shards,
+// `workers` threads (no init racing, so the measured phase is pure
+// training).
+double scaling_eps_per_sec(std::size_t workers,
                            const trace::RequestTrace& trace,
                            std::size_t episodes) {
   rl::A3CConfig config;
   config.workers = workers;
-  config.param_shards = shards;
   config.init_candidates = 1;
   rl::A3CAgent agent(config, util::bench_seed());
 
@@ -126,8 +124,6 @@ int main() {
   // Worker-scaling sweep: the same workload trained end to end at each
   // worker count. Counts beyond the hardware thread count still run (the
   // wavefront schedule tolerates oversubscription) but carry no gate.
-  const auto shards = static_cast<std::size_t>(
-      util::env_int("MINICOST_TRAIN_SHARDS", 8));
   const auto scaling_episodes = static_cast<std::size_t>(
       util::env_int("MINICOST_TRAIN_SCALING_EPISODES", 1500));
   const std::size_t hardware_threads = std::thread::hardware_concurrency();
@@ -135,7 +131,7 @@ int main() {
   std::vector<double> worker_eps;
   for (std::size_t workers : worker_counts)
     worker_eps.push_back(
-        scaling_eps_per_sec(workers, shards, trace, scaling_episodes));
+        scaling_eps_per_sec(workers, trace, scaling_episodes));
   const double scaling_4w = worker_eps[2] / worker_eps[0];
   const double efficiency_4w = scaling_4w / 4.0;
 
@@ -144,10 +140,10 @@ int main() {
       "\"scalar_episodes_per_sec\":%.1f,\"batched_episodes_per_sec\":%.1f,"
       "\"episodes_speedup\":%.2f,\"scalar_update_step_ns\":%.1f,"
       "\"batched_update_step_ns\":%.1f,\"update_speedup\":%.2f,"
-      "\"param_shards\":%zu,\"hardware_threads\":%zu",
+      "\"hardware_threads\":%zu",
       files, episodes, scalar_eps_sec, batched_eps_sec,
       batched_eps_sec / scalar_eps_sec, scalar_step_ns, batched_step_ns,
-      scalar_step_ns / batched_step_ns, shards, hardware_threads);
+      scalar_step_ns / batched_step_ns, hardware_threads);
   for (std::size_t i = 0; i < worker_counts.size(); ++i)
     std::printf(",\"train_eps_per_sec_w%zu\":%.1f", worker_counts[i],
                 worker_eps[i]);

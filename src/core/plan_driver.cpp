@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "store/shard_prefetcher.hpp"
 #include "util/stopwatch.hpp"
 
 namespace minicost::core {
@@ -19,7 +17,6 @@ PlanDriver::PlanDriver(const store::TraceReader& reader,
   end_day_ = options_.end_day == 0 ? reader_.days() : options_.end_day;
   if (options_.start_day >= end_day_ || end_day_ > reader_.days())
     throw std::invalid_argument("PlanDriver: bad planning window");
-  if (options_.prefetch_depth == 0) options_.prefetch_depth = 1;
 
   const std::size_t n = reader_.file_count();
   const std::size_t shard =
@@ -33,8 +30,6 @@ PlanDriver::PlanDriver(const store::TraceReader& reader,
     DecisionCacheConfig cache_config;
     if (options_.decision_cache_capacity != 0)
       cache_config.capacity = options_.decision_cache_capacity;
-    if (options_.decision_cache_shards != 0)
-      cache_config.shards = options_.decision_cache_shards;
     decision_cache_ = std::make_unique<DecisionCache>(cache_config);
   }
 }
@@ -95,18 +90,6 @@ PlanDriverRun PlanDriver::run_shards(const std::vector<bool>& replan_shard) {
   obs::Timer* global_latency =
       obs::enabled() ? &obs::timer("core.plan_driver.file_decide") : nullptr;
 
-  // In pipeline mode only the shards being re-planned enter the prefetcher;
-  // spliced shards need no I/O at all.
-  std::optional<store::ShardPrefetcher> prefetcher;
-  if (options_.pipeline) {
-    std::vector<store::ShardPrefetcher::Range> ranges;
-    for (std::size_t s = 0; s < shards_.size(); ++s)
-      if (replan_shard[s]) ranges.push_back({shards_[s].first, shards_[s].count});
-    if (!ranges.empty())
-      prefetcher.emplace(reader_, std::move(ranges), options_.pool,
-                         options_.prefetch_depth);
-  }
-
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const auto [first, count] = shards_[s];
     if (!replan_shard[s]) {
@@ -118,15 +101,12 @@ PlanDriverRun PlanDriver::run_shards(const std::vector<bool>& replan_shard) {
 
     trace::RequestTrace shard_trace = [&] {
       MC_OBS_SCOPE("core.shard_eval.materialize");
-      return prefetcher ? prefetcher->next().trace
-                        : reader_.materialize_shard(first, count);
+      return reader_.materialize_shard(first, count);
     }();
 
     PlanOptions plan_options;
     plan_options.start_day = options_.start_day;
     plan_options.end_day = end_day_;
-    plan_options.default_initial_tier = options_.default_initial_tier;
-    plan_options.charge_initial_placement = options_.charge_initial_placement;
     plan_options.pool = options_.pool;
     plan_options.decision_cache = decision_cache_.get();
     if (options_.static_initial && options_.start_day > 0)
@@ -156,8 +136,7 @@ PlanDriverRun PlanDriver::run_shards(const std::vector<bool>& replan_shard) {
     MC_OBS_COUNT("core.shard_eval.shards", 1);
     MC_OBS_COUNT("core.shard_eval.files", count);
 
-    if (options_.release_shard_pages)
-      reader_.release_frequency_range(first, count);
+    reader_.release_frequency_range(first, count);
   }
 
   const obs::TimerStats stats = latency.stats();

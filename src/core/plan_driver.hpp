@@ -1,17 +1,14 @@
 #pragma once
-// The pipelined planning driver: the reusable shard scheduler behind
-// run_policy_sharded (core/shard_eval.hpp), `minicost plan --serve`, and
-// bench/micro_plan_pipeline.
+// The shard planning driver: the reusable shard scheduler behind
+// `minicost plan` over .mct stores, `minicost plan --serve`, `tracepack
+// eval`, and bench/micro_plan_pipeline.
 //
 // A PlanDriver partitions a mapped .mct store into contiguous file shards
-// and plans them through the unchanged run_policy harness, in one of two
-// I/O modes:
-//
-//   serial     materialize -> decide -> bill, one shard after another (the
-//              original run_policy_sharded loop);
-//   pipelined  a double-buffered store::ShardPrefetcher materializes shard
-//              N+1 on the thread pool while shard N is decided and billed,
-//              so shard I/O and planning overlap.
+// and plans them in one serial loop through the unchanged run_policy
+// harness: materialize a shard -> decide -> bill -> merge its report into
+// the full-width bill -> release the shard's frequency pages. Peak resident
+// memory stays O(shard) for the trace data — one shard's RequestTrace,
+// plan, and in-flight report — plus O(files) for the merged bill itself.
 //
 // The driver is *resident*: it keeps the policy object (and therefore a
 // trained A3C agent deployed through core::RlPolicy) warm across runs, and
@@ -21,20 +18,27 @@
 // re-materialized and re-decided; the rest are spliced from the cache with
 // BillingReport::merge_shard.
 //
-// Determinism (DESIGN.md §11): every mode — serial, pipelined at any
-// prefetch depth, incremental with any dirty set — produces a bill
-// byte-identical to monolithic run_policy over reader.materialize(), for
-// every shard size and pool size. Per-shard inputs are bit-equal to
-// monolithic slices no matter which thread copied them, per-shard planning
-// is the unchanged harness, and the exact-sum shard merge is associative
-// and commutative, so splicing cached reports cannot perturb a bit.
+// Determinism (DESIGN.md §9/§11): for any policy whose decisions are
+// per-file — every baseline and the RL policy qualify; their decide_day
+// computes file i's assignment from file i's series alone — every run,
+// full or incremental with any dirty set, produces a bill byte-identical
+// to monolithic run_policy over reader.materialize(), for every shard size
+// and pool size. Two ingredients make this hold: per-shard inputs are
+// bit-equal to the corresponding slice of the monolithic inputs
+// (materialize_shard copies series bytes verbatim, and static_initial_tiers
+// is itself per-file), and BillingReport accumulates in exact arithmetic,
+// so splitting the charge stream across shard reports and merging — or
+// splicing cached reports — cannot perturb a single bit of the totals.
 // tests/core/plan_driver_test.cpp and tests/store/shard_eval_test.cpp pin
-// this across shard sizes, pool sizes, and dirty sets.
+// this across shard sizes, pool sizes, and dirty sets. Policies with
+// cross-file state (none in-tree today) would see a different PlanContext
+// per shard; callers own that trade-off. A 0-file store plans to an empty
+// (0-file) bill.
 //
-// Timing semantics: decision_seconds is the SUM of per-shard decide time
-// (CPU view — unchanged by overlap), wall_seconds is the run's wall-clock
-// (what pipelining improves). Per-file decision latency is recorded per
-// shard-day into the run-local histogram AND the global obs timer
+// Timing semantics: decision_seconds is the SUM of per-shard decide time,
+// wall_seconds is the run's wall-clock (materialize + decide + bill +
+// merge). Per-file decision latency is recorded per shard-day into the
+// run-local histogram AND the global obs timer
 // `core.plan_driver.file_decide`; p50/p99 land in the run result.
 
 #include <memory>
@@ -54,34 +58,20 @@ struct PlanDriverOptions {
   std::size_t end_day = 0;    ///< exclusive; 0 = trace end
   /// When start_day > 0, seed each shard with static_initial_tiers computed
   /// over days [0, start_day) — the paper's hot/cool customer baseline.
-  /// Otherwise (or when start_day == 0) every file starts in
-  /// `default_initial_tier`.
+  /// Otherwise (or when start_day == 0) every file starts hot. The initial
+  /// placement is charged either way.
   bool static_initial = true;
-  pricing::StorageTier default_initial_tier = pricing::StorageTier::kHot;
-  bool charge_initial_placement = true;
-  /// Pool for batched planning/billing inside each shard and for the
-  /// prefetcher's materialization tasks; nullptr = the process-shared pool.
-  /// Results are pool-size independent.
+  /// Pool for batched planning/billing inside each shard; nullptr = the
+  /// process-shared pool. Results are pool-size independent.
   util::ThreadPool* pool = nullptr;
-  /// madvise each shard's frequency pages away once billed, keeping RSS
-  /// bounded by the shard instead of the mapped trace.
-  bool release_shard_pages = true;
-  /// Overlap shard I/O with decide/billing via ShardPrefetcher. Off by
-  /// default: the serial loop is the reference the pipelined mode is
-  /// byte-compared against.
-  bool pipeline = false;
-  /// Shards materializing ahead of the one being planned (pipeline mode);
-  /// 1 = double-buffered.
-  std::size_t prefetch_depth = 1;
   /// Own a DecisionCache (DESIGN.md §15) and hand it to cache-aware
   /// policies via PlanOptions. The cache lives across runs, replans, and
   /// shards — cross-day and cross-shard reuse — and stays byte-identical
   /// because keys are exact windows under a parameter-hash epoch (stale
   /// entries from a trained/reloaded agent can never serve).
   bool decision_cache = false;
-  /// Entry capacity / lock-shard count of the owned cache (0 = defaults).
+  /// Entry capacity of the owned cache (0 = default).
   std::size_t decision_cache_capacity = 0;
-  std::size_t decision_cache_shards = 0;
 };
 
 struct PlanDriverRun {
@@ -89,9 +79,7 @@ struct PlanDriverRun {
   /// Full-width bill: file_count() == reader.file_count(), days() == window.
   sim::BillingReport report;
   /// Decide time summed over the shards planned in THIS run (cached shards
-  /// contribute nothing). Under pipelining this is the CPU view — compare
-  /// wall_seconds for elapsed time; the two diverge exactly when overlap
-  /// works.
+  /// contribute nothing).
   double decision_seconds = 0.0;
   /// Wall-clock of the whole run (materialize + decide + bill + merge).
   double wall_seconds = 0.0;

@@ -67,16 +67,11 @@ std::unique_ptr<nn::Optimizer> make_optimizer(const A3CConfig& config) {
 
 /// Per-worker training state. The local nets' initial parameters never
 /// matter (the first sync overwrites them), so they are built from a
-/// throwaway fork of the init stream. In Hogwild mode each worker owns its
-/// optimizer state and a delta scratch: the optimizers step a zero vector,
-/// which yields the exact parameter delta because SGD/RMSProp/Adam update
-/// rules never read the parameter values they advance.
+/// throwaway fork of the init stream.
 struct A3CAgent::WorkerCtx {
   TieringEnv env;
   nn::Network actor, critic;
   std::vector<double> actor_stage, critic_stage;
-  std::unique_ptr<nn::Optimizer> actor_opt, critic_opt;  // Hogwild only
-  std::vector<double> actor_delta, critic_delta;         // Hogwild only
 
   WorkerCtx(A3CAgent& agent, const trace::RequestTrace& trace,
             const pricing::PricingPolicy& policy)
@@ -86,12 +81,6 @@ struct A3CAgent::WorkerCtx {
     critic = make_critic(agent.config_, agent.featurizer_, scratch);
     actor_stage.resize(agent.server_->actor_size());
     critic_stage.resize(agent.server_->critic_size());
-    if (agent.config_.lock_free_apply) {
-      actor_opt = make_optimizer(agent.config_);
-      critic_opt = make_optimizer(agent.config_);
-      actor_delta.resize(agent.server_->actor_size());
-      critic_delta.resize(agent.server_->critic_size());
-    }
   }
 };
 
@@ -107,14 +96,12 @@ A3CAgent::A3CAgent(A3CConfig config, std::uint64_t seed)
     throw std::invalid_argument("A3CAgent: episode_len must be > 0");
   if (config.gamma < 0.0 || config.gamma > 1.0)
     throw std::invalid_argument("A3CAgent: gamma outside [0, 1]");
-  if (config.param_shards == 0 || config.param_shards > 64)
-    throw std::invalid_argument("A3CAgent: param_shards outside [1, 64]");
   util::Rng init_rng = seed_rng_.fork(kInitStream);
   actor_ = make_actor(config_, featurizer_, init_rng);
   critic_ = make_critic(config_, featurizer_, init_rng);
   const A3CConfig& cfg = config_;
   server_ = std::make_unique<ParamServer>(
-      config_.param_shards, [cfg]() { return make_optimizer(cfg); });
+      [cfg]() { return make_optimizer(cfg); });
   util::MutexLock lock(param_mutex_);
   server_->assign(actor_.snapshot_parameters(), critic_.snapshot_parameters());
   net_sync_version_ = server_->version();
@@ -145,15 +132,9 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
   nn::Network& critic = ctx.critic;
   // Sync local nets from the parameter server. The wavefront sync admits
   // this episode in ordinal order, so the staged parameters are a pure
-  // function of the ordinal; Hogwild reads whatever the racing applies have
-  // produced so far (relaxed atomics, non-deterministic by design). The
-  // per-shard copies run under shard locks; the network load happens
-  // outside every lock.
-  if (config_.lock_free_apply) {
-    server_->sync_relaxed(ctx.actor_stage, ctx.critic_stage);
-  } else {
-    server_->sync(round_episode, ctx.actor_stage, ctx.critic_stage);
-  }
+  // function of the ordinal. The copy runs under the server lock; the
+  // network load happens outside it.
+  server_->sync(round_episode, ctx.actor_stage, ctx.critic_stage);
   actor.load_parameters(ctx.actor_stage);
   critic.load_parameters(ctx.critic_stage);
   actor.zero_gradients();
@@ -282,7 +263,7 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
     // current initialization's start. The clock is the episode's lifetime
     // ordinal, not the racy episodes_ counter: at any worker count the
     // warmup schedule is then a pure function of the ordinal, which the
-    // cross-worker/cross-shard bit-identity contract requires.
+    // run-to-run bit-identity contract requires.
     const std::size_t warmup_start =
         warmup_start_.load(std::memory_order_relaxed);
     const std::size_t episodes_done =
@@ -350,21 +331,9 @@ A3CAgent::EpisodeOutcome A3CAgent::run_episode(WorkerCtx& ctx,
 
   {
     MC_OBS_SCOPE("rl.a3c.opt_step");
-    if (config_.lock_free_apply) {
-      // Hogwild: turn the gradient into an exact update delta by stepping a
-      // zero vector with the worker-local optimizer state, then accumulate
-      // it into the shared parameters lock-free.
-      std::fill(ctx.actor_delta.begin(), ctx.actor_delta.end(), 0.0);
-      std::fill(ctx.critic_delta.begin(), ctx.critic_delta.end(), 0.0);
-      ctx.actor_opt->step(ctx.actor_delta, actor_grads);
-      ctx.critic_opt->step(ctx.critic_delta, critic_grads);
-      server_->apply_relaxed(ctx.actor_delta, ctx.critic_delta);
-    } else {
-      // Wavefront apply: per-shard in-place SIMD optimizer steps, admitted
-      // in episode order (admission wait lands in the
-      // rl.a3c.opt_step[.shardN].lock_wait_ns counters).
-      server_->apply(round_episode, actor_grads, critic_grads);
-    }
+    // Wavefront apply: in-place SIMD optimizer steps, admitted in episode
+    // order (admission wait lands in rl.a3c.opt_step.lock_wait_ns).
+    server_->apply(round_episode, actor_grads, critic_grads);
   }
   return outcome;
 }
@@ -454,7 +423,7 @@ void A3CAgent::train(const trace::RequestTrace& trace,
       remaining -= probe;
     }
     // The winner restarts with fresh optimizer state (assign() resets the
-    // per-shard slices); actor_/critic_ refresh lazily on the next read.
+    // optimizers); actor_/critic_ refresh lazily on the next read.
     server_->assign(std::move(best_actor), std::move(best_critic));
     // The winner continues mid-schedule: give it the post-warmup floor.
     warmup_start_.store(
@@ -513,7 +482,7 @@ A3CAgent::EpisodeOutcome A3CAgent::run_batch(
   // choice (file, window, tier, exploration) derives from the ordinal's
   // stream (rl/stream.hpp) — never from which worker ran it.
   const std::size_t base = episodes_.load(std::memory_order_relaxed);
-  server_->begin_round(batch, config_.workers, config_.lock_free_apply);
+  server_->begin_round(batch, config_.workers);
 
   std::atomic<std::size_t> next{0};
   // Outcomes land by ordinal and reduce in ordinal order after the join:

@@ -93,23 +93,10 @@ struct A3CConfig {
 
   // Episodes.
   std::size_t episode_len = 14;  ///< days per training episode
-  std::size_t workers = 2;       ///< asynchronous workers (threads)
-  /// Parameter-server lock sharding (DESIGN.md §14): the shared flat
-  /// parameter buffers are split into `param_shards` contiguous shards,
-  /// each with its own lock and optimizer slice, so concurrent workers
-  /// pipeline their sync/apply phases across shards instead of serializing
-  /// on one critical section. Results are bit-identical for every shard
-  /// count at a fixed worker count (the deterministic wavefront schedule
-  /// depends only on episode ordinals); 1 — the default — keeps the
-  /// single-lock layout. Range [1, 64].
-  std::size_t param_shards = 1;
-  /// Opt-in Hogwild-style lock-free apply (Recht et al. 2011): workers
-  /// read and accumulate into the shared parameters through relaxed
-  /// atomics with worker-local optimizer state (state is round-local, so
-  /// momentum restarts each reporting window). No locks on the training
-  /// hot path — and NO determinism: results vary run to run with thread
-  /// timing. The default locked path remains the deterministic reference.
-  bool lock_free_apply = false;
+  /// Asynchronous workers (threads), and the parameter server's wavefront
+  /// window W (DESIGN.md §14): episode e trains on the parameters after
+  /// exactly the first max(0, e-W+1) gradient applies.
+  std::size_t workers = 2;
   /// Run the per-episode update phase through the batched kernels: one
   /// forward_batch/backward_batch over the episode's T stored states per
   /// network plus fused loss-gradient rows, instead of 2T scalar passes.
@@ -222,8 +209,8 @@ class A3CAgent {
     double cost_sum = 0.0;
   };
 
-  /// Per-worker training state (local nets, env, staging/delta buffers,
-  /// Hogwild optimizer state); defined in a3c.cpp.
+  /// Per-worker training state (local nets, env, staging buffers);
+  /// defined in a3c.cpp.
   struct WorkerCtx;
 
   /// Runs one episode on the worker's local nets and routes the gradient
@@ -238,7 +225,8 @@ class A3CAgent {
   /// Runs `batch` training episodes across the configured workers; returns
   /// the aggregate outcome. Each episode's RNG stream derives from its
   /// lifetime ordinal (rl/stream.hpp), so the result is a pure function of
-  /// the agent seed and episode count — not of worker or shard counts.
+  /// the agent seed, episode count and worker window — not of which thread
+  /// ran which episode.
   EpisodeOutcome run_batch(const trace::RequestTrace& trace,
                            const pricing::PricingPolicy& policy,
                            const std::vector<double>& weights,
@@ -277,7 +265,7 @@ class A3CAgent {
   A3CConfig config_;
   Featurizer featurizer_;
 
-  // The authoritative learned state lives in the sharded parameter server
+  // The authoritative learned state lives in the parameter server
   // (rl/param_server.hpp, DESIGN.md §14); workers sync local nets from it
   // and apply gradients through it. actor_/critic_ are lazily-synced
   // materializations for the act/value/serialization paths, guarded by

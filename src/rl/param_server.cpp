@@ -1,10 +1,8 @@
 #include "rl/param_server.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <stdexcept>
-#include <string>
 
 namespace minicost::rl {
 namespace {
@@ -16,218 +14,122 @@ std::uint64_t steady_now_ns() {
           .count());
 }
 
-// Relaxed element-wise atomic copy/accumulate over double buffers. The
-// Hogwild discipline routes *every* round-concurrent access to the flats
-// through these, which is what keeps the TSan no-suppressions policy intact:
-// parameter races stay, data races don't.
-void relaxed_load(std::span<const double> src, std::span<double> dst) {
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    // atomic_ref<const T> lands in C++26; const_cast is safe here — the
-    // referenced object is never actually written through this path.
-    dst[i] = std::atomic_ref<double>(const_cast<double&>(src[i]))
-                 .load(std::memory_order_relaxed);
-  }
-}
-
-void relaxed_add(std::span<const double> delta, std::span<double> dst) {
-  for (std::size_t i = 0; i < delta.size(); ++i)
-    std::atomic_ref<double>(dst[i]).fetch_add(delta[i],
-                                              std::memory_order_relaxed);
-}
-
 }  // namespace
 
-ParamServer::ParamServer(std::size_t shard_count, OptimizerFactory factory)
+ParamServer::ParamServer(OptimizerFactory factory)
     : factory_(std::move(factory)) {
-  if (shard_count == 0 || shard_count > 64)
-    throw std::invalid_argument("ParamServer: shard_count outside [1, 64]");
   if (!factory_)
     throw std::invalid_argument("ParamServer: null optimizer factory");
-  shards_.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s)
-    shards_.push_back(std::make_unique<Shard>());
 }
 
-void ParamServer::partition() {
-  const std::size_t n = shards_.size();
-  for (std::size_t s = 0; s < n; ++s) {
-    Shard& sh = *shards_[s];
-    sh.actor_lo = s * actor_size_ / n;
-    sh.actor_hi = (s + 1) * actor_size_ / n;
-    sh.critic_lo = s * critic_size_ / n;
-    sh.critic_hi = (s + 1) * critic_size_ / n;
-  }
+std::size_t ParamServer::actor_size() const {
+  util::MutexLock lock(mutex_);
+  return actor_flat_.size();
+}
+
+std::size_t ParamServer::critic_size() const {
+  util::MutexLock lock(mutex_);
+  return critic_flat_.size();
 }
 
 void ParamServer::assign(std::vector<double> actor, std::vector<double> critic) {
+  util::MutexLock lock(mutex_);
   if (round_active_)
     throw std::logic_error("ParamServer::assign: round in progress");
-  if (actor_size_ != 0 &&
-      (actor.size() != actor_size_ || critic.size() != critic_size_))
+  if (!actor_flat_.empty() &&
+      (actor.size() != actor_flat_.size() ||
+       critic.size() != critic_flat_.size()))
     throw std::invalid_argument("ParamServer::assign: size mismatch");
-  actor_size_ = actor.size();
-  critic_size_ = critic.size();
   actor_flat_ = std::move(actor);
   critic_flat_ = std::move(critic);
-  partition();
-  // Fresh optimizer state per shard slice: assign() is the "new
-  // initialization" event (construction, init racing, checkpoint load), and
-  // carrying momentum across it would mix unrelated parameter histories.
-  for (auto& sp : shards_) {
-    sp->actor_opt = factory_();
-    sp->critic_opt = factory_();
-  }
+  // Fresh optimizer state: assign() is the "new initialization" event
+  // (construction, init racing, checkpoint load), and carrying momentum
+  // across it would mix unrelated parameter histories.
+  actor_opt_ = factory_();
+  critic_opt_ = factory_();
   version_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ParamServer::snapshot_into(std::vector<double>& actor,
                                 std::vector<double>& critic) {
-  actor.resize(actor_size_);
-  critic.resize(critic_size_);
-  if (lock_free_round_.load(std::memory_order_relaxed)) {
-    relaxed_load(actor_flat_, actor);
-    relaxed_load(critic_flat_, critic);
-    return;
-  }
-  // Ascending shard order — the one global lock order (see header).
-  for (auto& sp : shards_) {
-    Shard& sh = *sp;
-    util::MutexLock lock(sh.mutex);
-    std::copy(actor_flat_.begin() + static_cast<std::ptrdiff_t>(sh.actor_lo),
-              actor_flat_.begin() + static_cast<std::ptrdiff_t>(sh.actor_hi),
-              actor.begin() + static_cast<std::ptrdiff_t>(sh.actor_lo));
-    std::copy(critic_flat_.begin() + static_cast<std::ptrdiff_t>(sh.critic_lo),
-              critic_flat_.begin() + static_cast<std::ptrdiff_t>(sh.critic_hi),
-              critic.begin() + static_cast<std::ptrdiff_t>(sh.critic_lo));
-  }
+  util::MutexLock lock(mutex_);
+  actor.assign(actor_flat_.begin(), actor_flat_.end());
+  critic.assign(critic_flat_.begin(), critic_flat_.end());
 }
 
-void ParamServer::begin_round(std::size_t episodes, std::size_t window,
-                              bool lock_free) {
-  if (round_active_)
-    throw std::logic_error("ParamServer::begin_round: round already active");
+void ParamServer::begin_round(std::size_t episodes, std::size_t window) {
   if (window == 0)
     throw std::invalid_argument("ParamServer::begin_round: window must be > 0");
-  if (actor_size_ == 0)
+  util::MutexLock lock(mutex_);
+  if (round_active_)
+    throw std::logic_error("ParamServer::begin_round: round already active");
+  if (actor_flat_.empty())
     throw std::logic_error("ParamServer::begin_round: no parameters assigned");
   round_total_ = episodes;
   window_ = window;
   round_active_ = true;
-  lock_free_round_.store(lock_free, std::memory_order_relaxed);
-  const bool timing = obs::kCompiledIn && obs::enabled();
-  if (timing && sync_wait_total_ == nullptr) {
-    sync_wait_total_ = &obs::counter("rl.a3c.sync.wait_ns");
-    apply_wait_total_ = &obs::counter("rl.a3c.opt_step.lock_wait_ns");
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const std::string tag = ".shard" + std::to_string(s);
-      shards_[s]->sync_wait_ns =
-          &obs::counter("rl.a3c.sync" + tag + ".wait_ns");
-      shards_[s]->apply_wait_ns =
-          &obs::counter("rl.a3c.opt_step" + tag + ".lock_wait_ns");
-    }
-  }
-  for (auto& sp : shards_) {
-    sp->synced = 0;
-    sp->applied = 0;
+  synced_ = 0;
+  applied_ = 0;
+  if (obs::kCompiledIn && obs::enabled() && sync_wait_ns_ == nullptr) {
+    sync_wait_ns_ = &obs::counter("rl.a3c.sync.wait_ns");
+    apply_wait_ns_ = &obs::counter("rl.a3c.opt_step.lock_wait_ns");
   }
 }
 
 void ParamServer::end_round() {
+  util::MutexLock lock(mutex_);
   if (!round_active_)
     throw std::logic_error("ParamServer::end_round: no round active");
-  if (!lock_free_round_.load(std::memory_order_relaxed)) {
-    for (const auto& sp : shards_) {
-      if (sp->synced != round_total_ || sp->applied != round_total_)
-        throw std::logic_error(
-            "ParamServer::end_round: wavefront incomplete (protocol bug)");
-    }
-  }
+  if (synced_ != round_total_ || applied_ != round_total_)
+    throw std::logic_error(
+        "ParamServer::end_round: wavefront incomplete (protocol bug)");
   round_active_ = false;
-  lock_free_round_.store(false, std::memory_order_relaxed);
 }
 
 void ParamServer::sync(std::size_t episode, std::span<double> actor_out,
                        std::span<double> critic_out) {
+  const bool timing = obs::kCompiledIn && obs::enabled();
+  const std::uint64_t t0 = timing ? steady_now_ns() : 0;
+  util::MutexLock lock(mutex_);
   // Episode e may start once every episode outside its window [e-W+1, e] has
   // been applied. Waiting for *exactly* that prefix (rather than whatever
   // happens to be applied) is what makes the parameters episode e reads a
   // pure function of the episode ordinal.
   const std::uint64_t need_applied =
       episode + 1 >= window_ ? episode + 1 - window_ : 0;
-  const bool timing =
-      obs::kCompiledIn && obs::enabled() && sync_wait_total_ != nullptr;
-  for (auto& sp : shards_) {
-    Shard& sh = *sp;
-    const std::uint64_t t0 = timing ? steady_now_ns() : 0;
-    util::MutexLock lock(sh.mutex);
-    sh.cv.wait(lock, [&] {
-      return sh.synced == episode && sh.applied >= need_applied;
-    });
-    if (timing) {
-      const std::uint64_t waited = steady_now_ns() - t0;
-      sync_wait_total_->add(waited);
-      sh.sync_wait_ns->add(waited);
-    }
-    std::copy(actor_flat_.begin() + static_cast<std::ptrdiff_t>(sh.actor_lo),
-              actor_flat_.begin() + static_cast<std::ptrdiff_t>(sh.actor_hi),
-              actor_out.begin() + static_cast<std::ptrdiff_t>(sh.actor_lo));
-    std::copy(critic_flat_.begin() + static_cast<std::ptrdiff_t>(sh.critic_lo),
-              critic_flat_.begin() + static_cast<std::ptrdiff_t>(sh.critic_hi),
-              critic_out.begin() + static_cast<std::ptrdiff_t>(sh.critic_lo));
-    ++sh.synced;
-    sh.cv.notify_all();
-  }
+  cv_.wait(lock, [&]() MC_REQUIRES(mutex_) {
+    return synced_ == episode && applied_ >= need_applied;
+  });
+  if (timing && sync_wait_ns_ != nullptr)
+    sync_wait_ns_->add(steady_now_ns() - t0);
+  std::copy(actor_flat_.begin(), actor_flat_.end(), actor_out.begin());
+  std::copy(critic_flat_.begin(), critic_flat_.end(), critic_out.begin());
+  ++synced_;
+  cv_.notify_all();
 }
 
 void ParamServer::apply(std::size_t episode,
                         std::span<const double> actor_grads,
                         std::span<const double> critic_grads) {
-  // Applies land in strict episode order; the sync floor below keeps any
+  const bool timing = obs::kCompiledIn && obs::enabled();
+  const std::uint64_t t0 = timing ? steady_now_ns() : 0;
+  util::MutexLock lock(mutex_);
+  // Applies land in strict episode order; the sync floor keeps any
   // still-pending sync inside the window ahead of this write (it must read
   // the pre-apply parameters) without ever blocking on an absent reader
   // (min(e + W, total) saturates at the round's episode count).
   const std::uint64_t need_synced =
       std::min<std::uint64_t>(episode + window_, round_total_);
-  const bool timing =
-      obs::kCompiledIn && obs::enabled() && apply_wait_total_ != nullptr;
-  for (auto& sp : shards_) {
-    Shard& sh = *sp;
-    const std::uint64_t t0 = timing ? steady_now_ns() : 0;
-    util::MutexLock lock(sh.mutex);
-    sh.cv.wait(lock, [&] {
-      return sh.applied == episode && sh.synced >= need_synced;
-    });
-    if (timing) {
-      const std::uint64_t waited = steady_now_ns() - t0;
-      apply_wait_total_->add(waited);
-      sh.apply_wait_ns->add(waited);
-    }
-    sh.actor_opt->step(
-        std::span<double>(actor_flat_)
-            .subspan(sh.actor_lo, sh.actor_hi - sh.actor_lo),
-        actor_grads.subspan(sh.actor_lo, sh.actor_hi - sh.actor_lo));
-    sh.critic_opt->step(
-        std::span<double>(critic_flat_)
-            .subspan(sh.critic_lo, sh.critic_hi - sh.critic_lo),
-        critic_grads.subspan(sh.critic_lo, sh.critic_hi - sh.critic_lo));
-    ++sh.applied;
-    sh.cv.notify_all();
-  }
+  cv_.wait(lock, [&]() MC_REQUIRES(mutex_) {
+    return applied_ == episode && synced_ >= need_synced;
+  });
+  if (timing && apply_wait_ns_ != nullptr)
+    apply_wait_ns_->add(steady_now_ns() - t0);
+  actor_opt_->step(actor_flat_, actor_grads);
+  critic_opt_->step(critic_flat_, critic_grads);
+  ++applied_;
   version_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ParamServer::sync_relaxed(std::span<double> actor_out,
-                               std::span<double> critic_out) {
-  relaxed_load(actor_flat_, actor_out);
-  relaxed_load(critic_flat_, critic_out);
-}
-
-void ParamServer::apply_relaxed(std::span<const double> actor_delta,
-                                std::span<const double> critic_delta) {
-  relaxed_add(actor_delta, actor_flat_);
-  relaxed_add(critic_delta, critic_flat_);
-  MC_OBS_COUNT("rl.a3c.hogwild.applies", 1);
-  version_.fetch_add(1, std::memory_order_relaxed);
+  cv_.notify_all();
 }
 
 }  // namespace minicost::rl

@@ -1,48 +1,23 @@
 #pragma once
-// Sharded A3C parameter server (DESIGN.md §14).
+// A3C parameter server (DESIGN.md §14).
 //
 // Owns the authoritative flat parameter buffers for the actor/critic pair
-// and the optimizer state that advances them. The buffers are split into
-// `shard_count` contiguous shards — each with its own util::Mutex, condition
-// variable, and per-shard optimizer slice — so concurrent workers serialize
-// per shard instead of per parameter-vector, and an episode's optimizer step
-// on shard k can overlap another episode's sync of shard k+1 (a wavefront
-// pipeline over the shards).
+// and the optimizer pair that advances them, all behind one util::Mutex.
 //
-// Two apply disciplines, chosen per training round:
-//
-//  * Deterministic wavefront (the default). Training episodes are numbered
-//    0..total-1 within the round; per shard, sync and apply events are
-//    admitted in a fixed total order derived only from the episode ordinal
-//    and the configured worker window W:
-//        sync(e)  waits until  synced == e  and  applied >= max(0, e-W+1)
-//        apply(e) waits until  applied == e and  synced  >= min(e+W, total)
-//    Episode e therefore always reads the parameters produced by exactly
-//    the first max(0, e-W+1) applies, and applies land in episode order —
-//    regardless of thread scheduling, actual thread count, or shard count.
-//    With W == 1 this degenerates to strict sync/apply alternation (the
-//    pre-sharding serial semantics). Exactly one event is admissible per
-//    shard state, so the protocol cannot deadlock; because applies complete
-//    in episode order, a slow episode delays later applies (head-of-line
-//    blocking) — the price of determinism.
-//
-//  * Hogwild (opt-in, A3CConfig::lock_free_apply). No locks on the hot
-//    path: workers read the buffers and fetch_add deltas into them through
-//    std::atomic_ref<double> with relaxed ordering. Races on parameter
-//    *values* are by design (Recht et al. 2011) and non-deterministic, but
-//    every access is an atomic, so the data-race-freedom contract (TSan, no
-//    suppressions) still holds. Optimizer state must be worker-local in
-//    this mode: workers compute a delta by stepping a zero vector and ship
-//    only the delta (SGD/RMSProp/Adam never read the parameters, so the
-//    delta is exact).
-//
-// Lock order: shard mutexes are only ever taken one at a time in ascending
-// shard order; front-door methods (assign / snapshot_into) take all of them
-// in that same order. Thread-safety annotations are omitted — the guarded
-// ranges live in one vector protected piecewise by a vector of mutexes,
-// which MC_GUARDED_BY cannot express; the discipline above is enforced by
-// the TSan CI job instead.
+// Training episodes are numbered 0..total-1 within a round; sync and apply
+// events are admitted in a fixed total order derived only from the episode
+// ordinal and the configured worker window W (a deterministic wavefront):
+//     sync(e)  waits until  synced == e  and  applied >= max(0, e-W+1)
+//     apply(e) waits until  applied == e and  synced  >= min(e+W, total)
+// Episode e therefore always reads the parameters produced by exactly the
+// first max(0, e-W+1) applies, and applies land in episode order —
+// regardless of thread scheduling or how many threads actually run. With
+// W == 1 this is strict sync/apply alternation. Exactly one event is
+// admissible per state, so the protocol cannot deadlock; because applies
+// complete in episode order, a slow episode delays later applies
+// (head-of-line blocking) — the price of determinism.
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -53,6 +28,7 @@
 #include "nn/optimizer.hpp"
 #include "obs/metrics.hpp"
 #include "util/mutex.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace minicost::rl {
 
@@ -60,105 +36,72 @@ class ParamServer {
  public:
   using OptimizerFactory = std::function<std::unique_ptr<nn::Optimizer>()>;
 
-  /// `shard_count` in [1, 64]; `factory` builds one optimizer per network
-  /// slice per shard (fresh state each assign()).
-  ParamServer(std::size_t shard_count, OptimizerFactory factory);
+  /// `factory` builds the actor and critic optimizers (fresh state each
+  /// assign()).
+  explicit ParamServer(OptimizerFactory factory);
 
-  std::size_t shard_count() const noexcept { return shards_.size(); }
-  std::size_t actor_size() const noexcept { return actor_size_; }
-  std::size_t critic_size() const noexcept { return critic_size_; }
+  std::size_t actor_size() const MC_EXCLUDES(mutex_);
+  std::size_t critic_size() const MC_EXCLUDES(mutex_);
 
-  /// Monotone apply counter; bumped once per apply/apply_relaxed and per
-  /// assign(). Readers use it to detect staleness of materialized networks.
+  /// Monotone apply counter; bumped once per apply and per assign().
+  /// Readers use it to detect staleness of materialized networks.
   std::uint64_t version() const noexcept {
     return version_.load(std::memory_order_relaxed);
   }
 
-  /// Replaces the authoritative parameters, (re)partitions the shards, and
-  /// resets every per-shard optimizer to fresh state. Both vectors must be
-  /// the same size on every call after the first. Not callable during an
-  /// active round.
-  void assign(std::vector<double> actor, std::vector<double> critic);
+  /// Replaces the authoritative parameters and resets both optimizers to
+  /// fresh state. Both vectors must be the same size on every call after
+  /// the first. Not callable during an active round.
+  void assign(std::vector<double> actor, std::vector<double> critic)
+      MC_EXCLUDES(mutex_);
 
   /// Copies the authoritative parameters out. Safe concurrently with an
-  /// active round: takes every shard lock (wavefront rounds; waiters park in
-  /// condition variables, so this never blocks behind a full episode) or
-  /// reads through relaxed atomics (Hogwild rounds). Mid-round snapshots
-  /// may mix episodes across shards; quiesced snapshots are exact.
-  void snapshot_into(std::vector<double>& actor, std::vector<double>& critic);
+  /// active round (waiters park in the condition variable, so this never
+  /// blocks behind a full episode); the copy sits between two applies.
+  void snapshot_into(std::vector<double>& actor, std::vector<double>& critic)
+      MC_EXCLUDES(mutex_);
 
   /// Opens a training round of `episodes` episodes with worker window
   /// `window` (the A3CConfig worker count — part of the deterministic
-  /// schedule, NOT the number of threads actually running). `lock_free`
-  /// selects the Hogwild discipline for the whole round.
-  void begin_round(std::size_t episodes, std::size_t window, bool lock_free);
+  /// schedule, NOT the number of threads actually running).
+  void begin_round(std::size_t episodes, std::size_t window)
+      MC_EXCLUDES(mutex_);
 
-  /// Closes the round; throws std::logic_error if a wavefront round ends
-  /// with unapplied episodes (a protocol bug, not a user error).
-  void end_round();
+  /// Closes the round; throws std::logic_error if it ends with unapplied
+  /// episodes (a protocol bug, not a user error).
+  void end_round() MC_EXCLUDES(mutex_);
 
-  // -- Deterministic wavefront path ---------------------------------------
-  /// Waits for episode `episode`'s turn on each shard in ascending order and
-  /// copies the authoritative parameters into the staging buffers (sized
-  /// actor_size()/critic_size()).
+  /// Waits for episode `episode`'s sync turn and copies the authoritative
+  /// parameters into the staging buffers (sized actor_size()/critic_size()).
   void sync(std::size_t episode, std::span<double> actor_out,
-            std::span<double> critic_out);
+            std::span<double> critic_out) MC_EXCLUDES(mutex_);
 
-  /// Waits for episode `episode`'s apply turn on each shard in ascending
-  /// order and runs the per-shard optimizer slices over the gradients.
+  /// Waits for episode `episode`'s apply turn and runs the optimizers over
+  /// the gradients.
   void apply(std::size_t episode, std::span<const double> actor_grads,
-             std::span<const double> critic_grads);
-
-  // -- Hogwild path --------------------------------------------------------
-  /// Relaxed-atomic element-wise read of the authoritative parameters.
-  void sync_relaxed(std::span<double> actor_out, std::span<double> critic_out);
-
-  /// Relaxed-atomic element-wise accumulation of a precomputed update delta
-  /// (NOT a gradient — the caller owns the optimizer math in this mode).
-  void apply_relaxed(std::span<const double> actor_delta,
-                     std::span<const double> critic_delta);
+             std::span<const double> critic_grads) MC_EXCLUDES(mutex_);
 
  private:
-  struct Shard {
-    util::Mutex mutex;
-    std::condition_variable_any cv;
-    // Contiguous half-open slices of the actor/critic flats.
-    std::size_t actor_lo = 0, actor_hi = 0;
-    std::size_t critic_lo = 0, critic_hi = 0;
-    // Round-local wavefront counters: number of completed sync / apply
-    // events on this shard.
-    std::uint64_t synced = 0, applied = 0;
-    std::unique_ptr<nn::Optimizer> actor_opt, critic_opt;
-    // Per-shard wait counters (resolved lazily when obs is enabled).
-    obs::Counter* sync_wait_ns = nullptr;
-    obs::Counter* apply_wait_ns = nullptr;
-  };
-
-  void partition();
-
   OptimizerFactory factory_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  // Authoritative parameters. Wavefront rounds access [lo, hi) slices under
-  // the owning shard's mutex; Hogwild rounds access elements exclusively
-  // through std::atomic_ref<double> (relaxed).
-  std::vector<double> actor_flat_;
-  std::vector<double> critic_flat_;
-  std::size_t actor_size_ = 0;
-  std::size_t critic_size_ = 0;
 
-  // Round state; written only while quiesced (begin/end_round), read by
-  // workers (publication happens-before via thread creation).
-  std::size_t round_total_ = 0;
-  std::size_t window_ = 1;
-  bool round_active_ = false;
-  // Atomic so snapshot_into() can pick the Hogwild read path mid-round.
-  std::atomic<bool> lock_free_round_{false};
+  mutable util::Mutex mutex_;
+  std::condition_variable_any cv_;
+  std::vector<double> actor_flat_ MC_GUARDED_BY(mutex_);
+  std::vector<double> critic_flat_ MC_GUARDED_BY(mutex_);
+  std::unique_ptr<nn::Optimizer> actor_opt_ MC_GUARDED_BY(mutex_);
+  std::unique_ptr<nn::Optimizer> critic_opt_ MC_GUARDED_BY(mutex_);
+  // Round state: the schedule and the number of completed sync / apply
+  // events in the current round.
+  std::size_t round_total_ MC_GUARDED_BY(mutex_) = 0;
+  std::size_t window_ MC_GUARDED_BY(mutex_) = 1;
+  bool round_active_ MC_GUARDED_BY(mutex_) = false;
+  std::uint64_t synced_ MC_GUARDED_BY(mutex_) = 0;
+  std::uint64_t applied_ MC_GUARDED_BY(mutex_) = 0;
 
   std::atomic<std::uint64_t> version_{0};
-  // Aggregate wait counters (the pre-sharding "rl.a3c.opt_step.lock_wait_ns"
-  // name is kept: it now measures total apply admission wait).
-  obs::Counter* sync_wait_total_ = nullptr;
-  obs::Counter* apply_wait_total_ = nullptr;
+  // Admission wait counters (resolved lazily when obs is enabled).
+  obs::Counter* sync_wait_ns_ MC_GUARDED_BY(mutex_) = nullptr;
+  obs::Counter* apply_wait_ns_ MC_GUARDED_BY(mutex_) = nullptr;
 };
 
 }  // namespace minicost::rl

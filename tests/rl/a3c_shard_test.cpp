@@ -1,15 +1,12 @@
-// Sharded parameter-server contract tests (DESIGN.md §14):
-//   * the final parameters are a pure function of (seed, episode count) —
-//     byte-identical across shard counts at every worker count, and
-//     run-to-run deterministic even with many workers;
-//   * the Hogwild path trains without locks and still produces a valid
-//     (non-deterministic) agent;
+// Multi-worker training contract tests (DESIGN.md §14):
+//   * the final parameters are a pure function of (seed, episode count,
+//     worker window) — run-to-run deterministic even with many workers
+//     (tests/rl/param_server_test.cpp pins the schedule itself);
 //   * episode RNG streams derive only from the lifetime ordinal and can
 //     never alias the agent's other stream families.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -32,12 +29,11 @@ trace::RequestTrace small_trace(std::size_t files = 60) {
   return trace::generate_synthetic(config);
 }
 
-A3CConfig shard_config(std::size_t workers, std::size_t shards) {
+A3CConfig small_config(std::size_t workers) {
   A3CConfig config;
   config.filters = 8;
   config.hidden = 8;
   config.workers = workers;
-  config.param_shards = shards;
   return config;
 }
 
@@ -60,80 +56,16 @@ std::string train_and_serialize(const A3CConfig& config, std::uint64_t seed,
   return bytes;
 }
 
-TEST(A3CShardTest, ShardedIsByteIdenticalToSingleLockAcrossWorkerCounts) {
-  // The wavefront schedule keys on (episode ordinal, worker window) only,
-  // and the optimizers are element-wise, so splitting the parameter vector
-  // into more locked slices must not move a single bit — at any worker
-  // count, including heavy oversubscription (8 workers on any host).
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    const std::string single =
-        train_and_serialize(shard_config(workers, 1), 17, 150, "s1");
-    ASSERT_FALSE(single.empty());
-    for (const std::size_t shards : {std::size_t{4}, std::size_t{16}}) {
-      const std::string sharded =
-          train_and_serialize(shard_config(workers, shards), 17, 150, "sN");
-      EXPECT_EQ(single, sharded)
-          << "workers=" << workers << " shards=" << shards;
-    }
-  }
-}
-
 TEST(A3CShardTest, MultiWorkerTrainingIsRunToRunDeterministic) {
-  // New with the wavefront protocol: multi-worker training is reproducible,
-  // not just single-worker (the pre-sharding scheduler let thread timing
-  // pick which worker's stream ran which episode).
+  // The wavefront protocol makes multi-worker training reproducible, not
+  // just single-worker: thread timing never picks which parameters an
+  // episode reads or which stream it draws from.
   const std::string first =
-      train_and_serialize(shard_config(8, 4), 23, 150, "r1");
+      train_and_serialize(small_config(8), 23, 150, "r1");
   const std::string second =
-      train_and_serialize(shard_config(8, 4), 23, 150, "r2");
+      train_and_serialize(small_config(8), 23, 150, "r2");
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, second);
-}
-
-TEST(A3CShardTest, ShardCountIsValidated) {
-  A3CConfig config = shard_config(1, 0);
-  EXPECT_THROW(A3CAgent(config, 1), std::invalid_argument);
-  config.param_shards = 65;
-  EXPECT_THROW(A3CAgent(config, 1), std::invalid_argument);
-  config.param_shards = 64;  // more shards than some layers have parameters
-  EXPECT_NO_THROW(A3CAgent(config, 1));
-}
-
-TEST(A3CShardTest, HogwildTrainsAValidAgent) {
-  // Hogwild is documented non-deterministic, so assert behavioral sanity
-  // rather than bytes: every episode runs, the policy stays a distribution,
-  // and the trained agent round-trips through save/load.
-  A3CConfig config = shard_config(4, 8);
-  config.lock_free_apply = true;
-  A3CAgent agent(config, 31);
-  const trace::RequestTrace trace = small_trace();
-  TrainOptions options;
-  options.episodes = 120;
-  options.report_every = 60;
-  agent.train(trace, pricing::PricingPolicy::azure_2020(), options);
-  EXPECT_EQ(agent.trained_episodes(), 120u);
-  EXPECT_GT(agent.trained_steps(), 120u);
-
-  const auto features =
-      agent.featurizer().encode(trace.file(0), 20, pricing::StorageTier::kHot);
-  const auto pi = agent.policy_probabilities(features);
-  ASSERT_EQ(pi.size(), kActionCount);
-  double total = 0.0;
-  for (const double p : pi) {
-    EXPECT_TRUE(std::isfinite(p));
-    EXPECT_GE(p, 0.0);
-    total += p;
-  }
-  EXPECT_NEAR(total, 1.0, 1e-9);
-
-  const auto path = std::filesystem::temp_directory_path() /
-                    ("minicost_hogwild_" + std::to_string(::getpid()) + ".txt");
-  agent.save(path);
-  A3CAgent reloaded(config, 32);
-  reloaded.load(path);
-  std::filesystem::remove(path);
-  EXPECT_EQ(reloaded.act(features, /*greedy=*/true),
-            agent.act(features, /*greedy=*/true));
 }
 
 TEST(A3CStreamTest, EpisodeStreamsAreInjective) {

@@ -15,9 +15,8 @@ Improvement direction is inferred from the metric name:
     ``*_rate``, ``*_ratio``         — higher is better (hit rates, dedup
     and compression ratios: shrinking reuse or compressibility at fixed
     seed/scale is a real regression, not jitter)
-  * ``*_sum_seconds``               — informational: summed per-shard CPU
-    time is not a wall-clock signal when shard I/O overlaps planning (the
-    pipelined driver can raise the sum while lowering the wall)
+  * ``*_sum_seconds``               — informational: a summed per-shard
+    component of the wall-clock, reported for attribution, not gated
   * ``*_seconds``, ``*_ns``,
     ``*_mib``, ``*_bytes``          — lower is better
   * anything else                   — informational (never fails the gate)

@@ -33,9 +33,8 @@ chains, or the build graph:
                        the build.
   lock-pool-callback   inside a method of a class with MC_GUARDED_BY-
                        annotated members, while a scoped lock is held, a call
-                       back into the thread pool (submit / parallel_for /
-                       materialize_shard_async) or a blocking future
-                       get()/wait(). The help-while-waiting pool executes
+                       back into the thread pool (submit / parallel_for)
+                       or a blocking future get()/wait(). The help-while-waiting pool executes
                        queued tasks from inside blocking waits — re-entering
                        it with a mutex held is a lock-inversion deadlock
                        waiting for load (DESIGN.md §8).
@@ -104,7 +103,7 @@ RNG_ENGINE_TYPES = {
 LOCK_TYPE_RE = re.compile(
     r"\b(MutexLock|lock_guard|scoped_lock|unique_lock)\b")
 
-POOL_CALLEES = {"submit", "parallel_for", "materialize_shard_async"}
+POOL_CALLEES = {"submit", "parallel_for"}
 FUTURE_BLOCKERS = {"get", "wait", "wait_for", "wait_until"}
 
 RNG_EXEMPT_RE = re.compile(r"(^|/)src/util/rng\.(cpp|hpp)$")
@@ -1334,9 +1333,7 @@ def rule_lock_pool_callback(index: Index) -> list[Finding]:
                 if site.receiver is not None else None
             recv_canon = index.canonical(recv_type) if recv_type else ""
             if site.name in POOL_CALLEES:
-                if recv_type is None or "ThreadPool" in recv_canon or \
-                        "TraceReader" in recv_canon or \
-                        "Prefetcher" in recv_canon:
+                if recv_type is None or "ThreadPool" in recv_canon:
                     findings.append(Finding(
                         fn.rel, site.line, "lock-pool-callback",
                         f"{fn.qname}() calls {site.name}() while holding a "
