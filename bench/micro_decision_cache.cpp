@@ -229,15 +229,15 @@ int main() {
 
   // Headline: the full Fig. 2 mixture through the PlanDriver.
   options.decision_cache = false;
-  core::PlanDriver driver_off(reader, prices, reference, options);
-  const core::PlanDriverRun off = driver_off.run();
+  core::PlanDriver driver_off(reader, prices, {&reference}, options);
+  const core::PlanDriverRun off = driver_off.run().front();
 
-  core::PlanDriver driver_default(reader, prices, policy, options);
-  const core::PlanDriverRun dedup = driver_default.run();
+  core::PlanDriver driver_default(reader, prices, {&policy}, options);
+  const core::PlanDriverRun dedup = driver_default.run().front();
 
   options.decision_cache = true;
-  core::PlanDriver driver_on(reader, prices, policy, options);
-  const core::PlanDriverRun on = driver_on.run();
+  core::PlanDriver driver_on(reader, prices, {&policy}, options);
+  const core::PlanDriverRun on = driver_on.run().front();
 
   bool identical = same_bill(off.report, on.report) &&
                    same_bill(off.report, dedup.report);
@@ -300,8 +300,8 @@ int main() {
           cell.shard_files = shard_files;
           cell.pool = pool;
           cell.decision_cache = cached;
-          core::PlanDriver driver(matrix_reader, prices, *decider, cell);
-          core::PlanDriverRun run = driver.run();
+          core::PlanDriver driver(matrix_reader, prices, {decider}, cell);
+          core::PlanDriverRun run = driver.run().front();
           if (!have_first) {
             first_bill = std::move(run.report);
             have_first = true;

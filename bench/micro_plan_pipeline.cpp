@@ -83,12 +83,12 @@ int main() {
 
   core::GreedyPolicy policy;
 
-  core::PlanDriver driver(reader, prices, policy, options);
-  const core::PlanDriverRun serial = driver.run();
+  core::PlanDriver driver(reader, prices, {&policy}, options);
+  const core::PlanDriverRun serial = driver.run().front();
 
   // Incremental: dirty one mid-partition shard, splice the rest.
   driver.mark_dirty(shard_files * (serial.shard_count / 2), 1);
-  const core::PlanDriverRun replan = driver.replan();
+  const core::PlanDriverRun replan = driver.replan().front();
 
   bool identical = same_bill(serial.report, replan.report);
 

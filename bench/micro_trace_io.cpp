@@ -147,8 +147,9 @@ Row run_size(std::size_t files, std::size_t days,
     core::PlanDriverOptions options;
     options.shard_files = row.shard_files;
     options.start_day = start;
-    shard_total = core::PlanDriver(reader, prices, policy, options)
+    shard_total = core::PlanDriver(reader, prices, {&policy}, options)
                       .run()
+                      .front()
                       .report.grand_total()
                       .total();
     row.eval_shard_seconds = watch.seconds();
@@ -269,8 +270,9 @@ std::vector<CodecRow> run_codecs(std::size_t files, std::size_t days,
     core::PlanDriverOptions options;
     options.shard_files = kShardFiles;
     options.start_day = start;
-    const double total = core::PlanDriver(reader, prices, policy, options)
+    const double total = core::PlanDriver(reader, prices, {&policy}, options)
                              .run()
+                      .front()
                              .report.grand_total()
                              .total();
     row.identical = total == v1_total;

@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   options.shard_files = static_cast<std::size_t>(cli.integer("shard-files"));
   options.start_day = reader.days() > 35 ? reader.days() - 35 : 1;
   const core::PlanDriverRun sharded =
-      core::PlanDriver(reader, prices, policy, options).run();
+      core::PlanDriver(reader, prices, {&policy}, options).run().front();
   std::cout << "sharded   (" << sharded.shard_count << " shards): total $"
             << sharded.report.grand_total().total() << ", peak RSS "
             << peak_rss_mib() << " MiB\n";

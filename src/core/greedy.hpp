@@ -35,11 +35,18 @@ class GreedyPolicy final : public TieringPolicy {
   }
   Knowledge knowledge() const noexcept override { return Knowledge::kHistory; }
 
+  /// The scalar reference the batched decide_day is tested against.
   pricing::StorageTier decide(const PlanContext& context, trace::FileId file,
                               std::size_t day,
                               pricing::StorageTier current) override;
 
-  /// Pure per-file pricing — the batched decide_day shards it on the pool.
+  /// Batch path: fixed file chunks over plan_pool(context), each file
+  /// priced by the same per-file rule decide() uses, with the next files'
+  /// series prefetched. Bit-identical to looping decide().
+  void decide_day(const PlanContext& context, std::size_t day,
+                  std::span<const pricing::StorageTier> current,
+                  std::span<pricing::StorageTier> out_plan) override;
+
   bool thread_safe_decide() const noexcept override { return true; }
 
  private:
@@ -59,6 +66,11 @@ class ClairvoyantGreedyPolicy final : public TieringPolicy {
   pricing::StorageTier decide(const PlanContext& context, trace::FileId file,
                               std::size_t day,
                               pricing::StorageTier current) override;
+
+  /// GreedyPolicy's batch kernel, priced on the decision day itself.
+  void decide_day(const PlanContext& context, std::size_t day,
+                  std::span<const pricing::StorageTier> current,
+                  std::span<pricing::StorageTier> out_plan) override;
 
   bool thread_safe_decide() const noexcept override { return true; }
 

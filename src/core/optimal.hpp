@@ -55,7 +55,7 @@ class OptimalPolicy final : public TieringPolicy {
                               std::size_t day,
                               pricing::StorageTier current) override;
 
-  /// Batch path: one pass copying the precomputed sequences' day column.
+  /// Batch path: one copy of the precomputed plan's day row.
   void decide_day(const PlanContext& context, std::size_t day,
                   std::span<const pricing::StorageTier> current,
                   std::span<pricing::StorageTier> out_plan) override;
@@ -67,7 +67,11 @@ class OptimalPolicy final : public TieringPolicy {
  private:
   bool charge_initial_;
   std::size_t start_day_ = 0;
-  std::vector<std::vector<pricing::StorageTier>> sequences_;
+  std::size_t window_ = 0;
+  std::size_t file_count_ = 0;
+  /// The prepared plan, day-major: plan_[(day - start_day_) * file_count_
+  /// + file].
+  std::vector<pricing::StorageTier> plan_;
   double planned_cost_ = 0.0;
 };
 

@@ -11,6 +11,8 @@ namespace {
 /// Below this file count a daily batch is not worth the pool handoff.
 constexpr std::size_t kParallelDecideGrain = 256;
 
+}  // namespace
+
 void check_batch_widths(const PlanContext& context,
                         std::span<const pricing::StorageTier> current,
                         std::span<pricing::StorageTier> out_plan) {
@@ -18,8 +20,6 @@ void check_batch_widths(const PlanContext& context,
       out_plan.size() != context.trace.file_count())
     throw std::invalid_argument("decide_day: span width != file count");
 }
-
-}  // namespace
 
 util::ThreadPool& plan_pool(const PlanContext& context) noexcept {
   return context.pool ? *context.pool : util::ThreadPool::shared();

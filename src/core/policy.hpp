@@ -55,6 +55,12 @@ struct PlanContext {
 /// The pool batch planning runs on: context.pool, or the shared pool.
 util::ThreadPool& plan_pool(const PlanContext& context) noexcept;
 
+/// decide_day's width contract: throws std::invalid_argument unless both
+/// spans are trace.file_count() wide.
+void check_batch_widths(const PlanContext& context,
+                        std::span<const pricing::StorageTier> current,
+                        std::span<pricing::StorageTier> out_plan);
+
 class TieringPolicy {
  public:
   virtual ~TieringPolicy() = default;

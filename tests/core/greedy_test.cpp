@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+
 #include "sim/cost_model.hpp"
 #include "trace/synthetic.hpp"
+#include "util/thread_pool.hpp"
 
 namespace minicost::core {
 namespace {
@@ -100,19 +104,82 @@ TEST(GreedyPolicyTest, ChangeCostCreatesHysteresis) {
             StorageTier::kCool);
 }
 
+// Batch vs scalar at 0 ULP: a trace wider than two decide_day chunks
+// (1024 files each) with a partial last chunk, both archive rules, files
+// entering every tier (archive under 2-tier Greedy too), exact price ties
+// (zero-sized dead files under Azure prices; every file under the flat
+// sheet, whose tiers and change price coincide), pool sizes 1 and 4, and
+// both the online and the clairvoyant variant.
 TEST(GreedyPolicyTest, DecideDayMatchesScalarDecide) {
-  const trace::RequestTrace tr = one_file({0.0, 0.0, 500.0, 500.0});
+  trace::SyntheticConfig config;
+  config.file_count = 2 * 1024 + 301;
+  config.days = 6;
+  config.seed = 17;
+  trace::RequestTrace generated = trace::generate_synthetic(config);
+  std::vector<trace::FileRecord> files = generated.files();
+  for (std::size_t i = 0; i < files.size(); i += 97) {
+    files[i].size_gb = 0.0;  // every tier prices this file at exactly 0
+    files[i].reads.assign(config.days, 0.0);
+    files[i].writes.assign(config.days, 0.0);
+  }
+  const trace::RequestTrace tr(config.days, std::move(files));
+  const std::size_t n = tr.file_count();
+
+  const PricingPolicy sheets[] = {PricingPolicy::azure_2020(),
+                                  PricingPolicy::flat_test()};
+  for (const PricingPolicy& prices : sheets) {
+    for (const bool include_archive : {false, true}) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        util::ThreadPool pool(threads);
+        GreedyPolicy online(include_archive);
+        ClairvoyantGreedyPolicy clairvoyant(include_archive);
+        TieringPolicy* const variants[] = {&online, &clairvoyant};
+        for (TieringPolicy* policy : variants) {
+          EXPECT_TRUE(policy->thread_safe_decide());
+          for (std::size_t day = 1; day < config.days; ++day) {
+            std::vector<StorageTier> current(n);
+            for (std::size_t i = 0; i < n; ++i)
+              current[i] = pricing::tier_from_index((i + day) % 3);
+            const PlanContext context{tr, prices, 1, config.days, current,
+                                      &pool};
+            std::vector<StorageTier> batch(n);
+            policy->decide_day(context, day, current, batch);
+            std::size_t mismatches = 0;
+            std::array<std::size_t, pricing::kTierCount> chosen{};
+            for (std::size_t i = 0; i < n; ++i) {
+              ++chosen[pricing::tier_index(batch[i])];
+              if (batch[i] != policy->decide(context,
+                                             static_cast<trace::FileId>(i),
+                                             day, current[i]))
+                ++mismatches;
+            }
+            SCOPED_TRACE(prices.name() + " " + policy->name() +
+                         " archive=" + std::to_string(include_archive) +
+                         " threads=" + std::to_string(threads) +
+                         " day=" + std::to_string(day));
+            EXPECT_EQ(mismatches, 0u);
+            // Not vacuous: real decisions under Azure prices, and under the
+            // flat sheet every tie resolves to the first tier priced.
+            if (prices.name() == "flat-test")
+              EXPECT_EQ(chosen[pricing::tier_index(StorageTier::kHot)], n);
+            else
+              EXPECT_GT(chosen[pricing::tier_index(StorageTier::kCool)], 0u);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GreedyPolicyTest, DecideDayRejectsWrongWidths) {
+  const trace::RequestTrace tr = one_file({0.0, 1.0, 2.0});
   const PricingPolicy azure = PricingPolicy::azure_2020();
   const std::vector<StorageTier> initial(1, StorageTier::kCool);
-  const PlanContext context{tr, azure, 1, 4, initial};
+  const PlanContext context{tr, azure, 1, 3, initial};
   GreedyPolicy greedy;
-  EXPECT_TRUE(greedy.thread_safe_decide());
-  for (std::size_t day = 1; day < 4; ++day) {
-    std::vector<StorageTier> batch(1);
-    greedy.decide_day(context, day, initial, batch);
-    EXPECT_EQ(batch[0], greedy.decide(context, 0, day, initial[0]))
-        << "day " << day;
-  }
+  std::vector<StorageTier> wide(2);
+  EXPECT_THROW(greedy.decide_day(context, 1, initial, wide),
+               std::invalid_argument);
 }
 
 TEST(GreedyPolicyTest, NamesAndKnowledge) {

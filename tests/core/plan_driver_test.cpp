@@ -7,12 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/greedy.hpp"
+#include "core/optimal.hpp"
 #include "core/rl_policy.hpp"
 #include "obs/metrics.hpp"
 #include "rl/a3c.hpp"
@@ -116,8 +120,8 @@ TEST_F(PlanDriverTest, RunMatchesMonolithicAcrossPools) {
     GreedyPolicy policy;
     PlanDriverOptions options = driver_options(7);
     options.pool = &pool;
-    PlanDriver driver(*reader_, prices_, policy, options);
-    const PlanDriverRun run = driver.run();
+    PlanDriver driver(*reader_, prices_, {&policy}, options);
+    const PlanDriverRun run = driver.run().front();
     SCOPED_TRACE("threads=" + std::to_string(threads));
     EXPECT_EQ(run.shard_count, 9u);  // ceil(61 / 7)
     EXPECT_EQ(run.replanned_shards, 9u);
@@ -127,11 +131,11 @@ TEST_F(PlanDriverTest, RunMatchesMonolithicAcrossPools) {
 
 TEST_F(PlanDriverTest, CleanReplanSplicesEverythingFromCache) {
   GreedyPolicy policy;
-  PlanDriver driver(*reader_, prices_, policy, driver_options(7));
-  const PlanDriverRun full = driver.run();
+  PlanDriver driver(*reader_, prices_, {&policy}, driver_options(7));
+  const PlanDriverRun full = driver.run().front();
   EXPECT_EQ(driver.dirty_shard_count(), 0u);
 
-  const PlanDriverRun spliced = driver.replan();
+  const PlanDriverRun spliced = driver.replan().front();
   EXPECT_EQ(spliced.replanned_shards, 0u);
   EXPECT_EQ(spliced.decision_seconds, 0.0);
   EXPECT_EQ(spliced.file_decide_p50_ns, 0.0);
@@ -141,27 +145,27 @@ TEST_F(PlanDriverTest, CleanReplanSplicesEverythingFromCache) {
 TEST_F(PlanDriverTest, DirtySubsetReplanIsByteIdenticalToFullRun) {
   const PlanResult reference = monolithic(3);
   GreedyPolicy policy;
-  PlanDriver driver(*reader_, prices_, policy, driver_options(7));
+  PlanDriver driver(*reader_, prices_, {&policy}, driver_options(7));
   driver.run();
 
   // Files 10..24 live in shards 1..3 (width 7).
   driver.mark_dirty(10, 15);
   EXPECT_EQ(driver.dirty_shard_count(), 3u);
-  const PlanDriverRun replan = driver.replan();
+  const PlanDriverRun replan = driver.replan().front();
   EXPECT_EQ(replan.replanned_shards, 3u);
   EXPECT_EQ(driver.dirty_shard_count(), 0u);
   expect_identical(replan.report, reference.report);
 
   // The tail file lands in the short last shard.
   driver.mark_dirty(60, 1);
-  const PlanDriverRun tail = driver.replan();
+  const PlanDriverRun tail = driver.replan().front();
   EXPECT_EQ(tail.replanned_shards, 1u);
   expect_identical(tail.report, reference.report);
 }
 
 TEST_F(PlanDriverTest, MarkDirtyValidatesTheFileRange) {
   GreedyPolicy policy;
-  PlanDriver driver(*reader_, prices_, policy, driver_options(7));
+  PlanDriver driver(*reader_, prices_, {&policy}, driver_options(7));
   EXPECT_THROW(driver.mark_dirty(55, 7), std::out_of_range);
   EXPECT_THROW(driver.mark_dirty(61, 1), std::out_of_range);
   EXPECT_NO_THROW(driver.mark_dirty(61, 0));  // empty range, even at the end
@@ -170,7 +174,7 @@ TEST_F(PlanDriverTest, MarkDirtyValidatesTheFileRange) {
 
 TEST_F(PlanDriverTest, PolicyInstanceStaysWarmAcrossRuns) {
   CountingGreedy policy;
-  PlanDriver driver(*reader_, prices_, policy, driver_options(7));
+  PlanDriver driver(*reader_, prices_, {&policy}, driver_options(7));
 
   driver.run();
   EXPECT_EQ(policy.prepare_calls, 9u);  // one per shard
@@ -188,14 +192,97 @@ TEST_F(PlanDriverTest, PolicyInstanceStaysWarmAcrossRuns) {
 
 TEST_F(PlanDriverTest, ReportsLatencyPercentilesAndTimings) {
   GreedyPolicy policy;
-  PlanDriver driver(*reader_, prices_, policy, driver_options(7));
-  const PlanDriverRun run = driver.run();
+  const std::unique_ptr<TieringPolicy> hot = make_hot_policy();
+  PlanDriver driver(*reader_, prices_, {&policy, hot.get()},
+                    driver_options(7));
+  const std::vector<PlanDriverRun> runs = driver.run();
+  const PlanDriverRun& run = runs.front();
   EXPECT_GT(run.wall_seconds, 0.0);
   EXPECT_GT(run.decision_seconds, 0.0);
   EXPECT_GT(run.file_decide_p50_ns, 0.0);
   EXPECT_GE(run.file_decide_p99_ns, run.file_decide_p50_ns);
   EXPECT_EQ(run.start_day, 3u);
   EXPECT_EQ(run.policy_name, policy.name());
+  // Each policy's wall is its own decide + bill + merge plus the shared
+  // decode, so it covers at least its own decide time.
+  for (const PlanDriverRun& r : runs) {
+    SCOPED_TRACE(r.policy_name);
+    EXPECT_GE(r.wall_seconds, r.decision_seconds);
+  }
+}
+
+// One driver over {hot, cold, greedy, optimal} bills every policy byte for
+// byte like a single-policy driver of its own, across shard sizes {1, 7,
+// all} x pool sizes {1, 4} and a dirty-subset replan, while decoding each
+// file once per run instead of once per policy.
+TEST_F(PlanDriverTest, MultiPolicyRunMatchesOneDriverPerPolicy) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::Counter& materialized = obs::counter("store.reader.files_materialized");
+  const auto make_policies = [] {
+    std::vector<std::unique_ptr<TieringPolicy>> policies;
+    policies.push_back(make_hot_policy());
+    policies.push_back(make_cold_policy());
+    policies.push_back(std::make_unique<GreedyPolicy>());
+    policies.push_back(std::make_unique<OptimalPolicy>());
+    return policies;
+  };
+  const std::size_t n = reader_->file_count();
+  for (const std::size_t shard_files :
+       {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE("shard_files=" + std::to_string(shard_files) +
+                   " threads=" + std::to_string(threads));
+      util::ThreadPool pool(threads);
+      PlanDriverOptions options = driver_options(shard_files);
+      options.pool = &pool;
+
+      const auto owned = make_policies();
+      std::vector<TieringPolicy*> list;
+      for (const auto& policy : owned) list.push_back(policy.get());
+      PlanDriver driver(*reader_, prices_, list, options);
+      std::uint64_t before = materialized.value();
+      const std::vector<PlanDriverRun> runs = driver.run();
+      EXPECT_EQ(materialized.value() - before, n);
+
+      // Files 10..24: every shard width puts them in a strict subset of
+      // the shards except the single whole-store shard.
+      driver.mark_dirty(10, 15);
+      const std::size_t dirty_shards = driver.dirty_shard_count();
+      const std::size_t width = shard_files == 0 ? n : shard_files;
+      const std::size_t dirty_files =
+          std::min(n, (24 / width + 1) * width) - (10 / width) * width;
+      before = materialized.value();
+      const std::vector<PlanDriverRun> replans = driver.replan();
+      EXPECT_EQ(materialized.value() - before, dirty_files);
+
+      ASSERT_EQ(runs.size(), owned.size());
+      ASSERT_EQ(replans.size(), owned.size());
+      const auto alone_policies = make_policies();
+      for (std::size_t p = 0; p < owned.size(); ++p) {
+        PlanDriver single(*reader_, prices_, {alone_policies[p].get()},
+                          options);
+        const PlanDriverRun alone = single.run().front();
+        SCOPED_TRACE(alone.policy_name);
+        EXPECT_EQ(runs[p].policy_name, alone.policy_name);
+        EXPECT_EQ(runs[p].shard_count, alone.shard_count);
+        EXPECT_EQ(runs[p].replanned_shards, alone.replanned_shards);
+        expect_identical(runs[p].report, alone.report);
+        EXPECT_EQ(replans[p].replanned_shards, dirty_shards);
+        expect_identical(replans[p].report, alone.report);
+      }
+    }
+  }
+  obs::set_enabled(was_enabled);
+}
+
+TEST_F(PlanDriverTest, RejectsAnEmptyOrNullPolicyList) {
+  EXPECT_THROW(PlanDriver(*reader_, prices_, {}, driver_options(7)),
+               std::invalid_argument);
+  GreedyPolicy policy;
+  EXPECT_THROW(PlanDriver(*reader_, prices_, {&policy, nullptr},
+                          driver_options(7)),
+               std::invalid_argument);
 }
 
 // The dedup-aware decision cache (DESIGN.md §15) behind the driver: every
@@ -226,8 +313,8 @@ TEST(PlanDriverDecisionCacheTest, OnOffIdenticalAcrossShardsPoolsAndReplans) {
   base.start_day = 20;
 
   base.decision_cache = false;
-  PlanDriver reference_driver(reader, prices, policy, base);
-  const PlanDriverRun reference = reference_driver.run();
+  PlanDriver reference_driver(reader, prices, {&policy}, base);
+  const PlanDriverRun reference = reference_driver.run().front();
   EXPECT_EQ(reference.cache_stats.hits + reference.cache_stats.misses, 0u);
 
   for (const std::size_t shard_files : {std::size_t{7}, std::size_t{0}}) {
@@ -238,8 +325,8 @@ TEST(PlanDriverDecisionCacheTest, OnOffIdenticalAcrossShardsPoolsAndReplans) {
       options.pool = &pool;
       options.decision_cache = true;
       options.decision_cache_capacity = 4096;
-      PlanDriver driver(reader, prices, policy, options);
-      const PlanDriverRun run = driver.run();
+      PlanDriver driver(reader, prices, {&policy}, options);
+      const PlanDriverRun run = driver.run().front();
       SCOPED_TRACE("shard_files=" + std::to_string(shard_files) +
                    " threads=" + std::to_string(threads));
       expect_identical(run.report, reference.report);
@@ -250,7 +337,7 @@ TEST(PlanDriverDecisionCacheTest, OnOffIdenticalAcrossShardsPoolsAndReplans) {
       // Incremental replan against the warm cache: still bit-identical,
       // and the run-local stats are a delta (all hits on a replay).
       driver.mark_dirty(10, 5);
-      const PlanDriverRun replan = driver.replan();
+      const PlanDriverRun replan = driver.replan().front();
       expect_identical(replan.report, reference.report);
       EXPECT_GT(replan.cache_stats.hits, 0u);
       EXPECT_EQ(replan.cache_stats.misses, 0u)
@@ -296,10 +383,10 @@ TEST(PlanDriverDecisionCacheTest, ObsCountersMatchRunCacheStats) {
     const std::uint64_t hit_before = hit.value();
     const std::uint64_t miss_before = miss.value();
     const pricing::PricingPolicy prices = pricing::PricingPolicy::azure_2020();
-    PlanDriver driver(reader, prices, policy, options);
-    const PlanDriverRun run = driver.run();
+    PlanDriver driver(reader, prices, {&policy}, options);
+    const PlanDriverRun run = driver.run().front();
     driver.mark_dirty(10, 20);
-    const PlanDriverRun replan = driver.replan();
+    const PlanDriverRun replan = driver.replan().front();
     EXPECT_GT(run.cache_stats.misses, 0u);
     EXPECT_GT(replan.cache_stats.hits, 0u);
     EXPECT_EQ(hit.value() - hit_before,
@@ -316,11 +403,11 @@ TEST_F(PlanDriverTest, RejectsBadWindows) {
   GreedyPolicy policy;
   PlanDriverOptions options;
   options.start_day = 10;  // == days
-  EXPECT_THROW(PlanDriver(*reader_, prices_, policy, options),
+  EXPECT_THROW(PlanDriver(*reader_, prices_, {&policy}, options),
                std::invalid_argument);
   options.start_day = 0;
   options.end_day = 11;
-  EXPECT_THROW(PlanDriver(*reader_, prices_, policy, options),
+  EXPECT_THROW(PlanDriver(*reader_, prices_, {&policy}, options),
                std::invalid_argument);
 }
 

@@ -83,12 +83,12 @@ TEST_F(ObsDeterminismTest, ShardedBillsAreIdenticalEnabledVsDisabled) {
   obs::set_enabled(true);
   core::GreedyPolicy instrumented;
   const core::PlanDriverRun with_obs =
-      core::PlanDriver(reader, prices, instrumented, options).run();
+      core::PlanDriver(reader, prices, {&instrumented}, options).run().front();
 
   obs::set_enabled(false);
   core::GreedyPolicy plain;
   const core::PlanDriverRun without_obs =
-      core::PlanDriver(reader, prices, plain, options).run();
+      core::PlanDriver(reader, prices, {&plain}, options).run().front();
 
   EXPECT_EQ(with_obs.shard_count, without_obs.shard_count);
   expect_identical(with_obs.report, without_obs.report, reader.file_count());

@@ -330,7 +330,7 @@ TEST_F(CodecContainerTest, BillsByteIdenticalAcrossShardSizesAndPools) {
         options.start_day = mono.start_day;
         options.pool = &pool;
         const core::PlanDriverRun sharded =
-            core::PlanDriver(v2, prices, policy, options).run();
+            core::PlanDriver(v2, prices, {&policy}, options).run().front();
         const sim::CostBreakdown& a = sharded.report.grand_total();
         const sim::CostBreakdown& b = reference.report.grand_total();
         EXPECT_EQ(bits(a.storage), bits(b.storage));

@@ -90,7 +90,7 @@ class ShardEvalTest : public ::testing::Test {
         options.static_initial = static_initial;
         options.pool = &pool;
         const PlanDriverRun sharded =
-            PlanDriver(*reader_, prices, policy, options).run();
+            PlanDriver(*reader_, prices, {&policy}, options).run().front();
         SCOPED_TRACE("shard_files=" + std::to_string(shard_files) +
                      " threads=" + std::to_string(threads));
         const std::size_t n = reader_->file_count();
@@ -145,7 +145,7 @@ TEST_F(ShardEvalTest, EmptyStoreBillsToEmptyReport) {
   options.shard_files = 7;
   options.start_day = 3;
   const PlanDriverRun sharded =
-      PlanDriver(reader, prices, policy, options).run();
+      PlanDriver(reader, prices, {&policy}, options).run().front();
   EXPECT_EQ(sharded.shard_count, 0u);
   EXPECT_EQ(sharded.replanned_shards, 0u);
   expect_identical(sharded.report, reference.report);
@@ -159,11 +159,11 @@ TEST_F(ShardEvalTest, RejectsBadWindows) {
   GreedyPolicy policy;
   PlanDriverOptions options;
   options.start_day = 10;  // == days
-  EXPECT_THROW(PlanDriver(*reader_, prices, policy, options),
+  EXPECT_THROW(PlanDriver(*reader_, prices, {&policy}, options),
                std::invalid_argument);
   options.start_day = 0;
   options.end_day = 11;
-  EXPECT_THROW(PlanDriver(*reader_, prices, policy, options),
+  EXPECT_THROW(PlanDriver(*reader_, prices, {&policy}, options),
                std::invalid_argument);
 }
 

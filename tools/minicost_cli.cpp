@@ -229,8 +229,9 @@ int serve_loop(const store::TraceReader& reader,
     if (it != drivers.end()) return it->second.get();
     std::unique_ptr<core::TieringPolicy> policy = make_policy(name, config.rl);
     if (policy == nullptr) return nullptr;
-    auto driver = std::make_unique<core::PlanDriver>(reader, prices, *policy,
-                                                     config.options);
+    auto driver = std::make_unique<core::PlanDriver>(
+        reader, prices, std::vector<core::TieringPolicy*>{policy.get()},
+        config.options);
     core::PlanDriver* raw = driver.get();
     policies.emplace(name, std::move(policy));
     drivers.emplace(name, std::move(driver));
@@ -261,7 +262,8 @@ int serve_loop(const store::TraceReader& reader,
             break;
           }
           const core::PlanDriverRun run =
-              cmd.kind == Kind::kPlan ? driver->run() : driver->replan();
+              (cmd.kind == Kind::kPlan ? driver->run() : driver->replan())
+                  .front();
           std::cout << format_row(
                            cmd.kind == Kind::kPlan ? "plan" : "replan",
                            config.options.shard_files, run)
@@ -293,7 +295,7 @@ int serve_loop(const store::TraceReader& reader,
             core::PlanDriver* driver = driver_for(name);
             if (driver == nullptr) continue;
             std::cout << format_row("sweep", config.options.shard_files,
-                                    driver->run())
+                                    driver->run().front())
                       << std::endl;
           }
           break;
@@ -417,10 +419,10 @@ int cmd_plan_store(const util::Cli& cli) {
     }
     std::unique_ptr<core::TieringPolicy> policy =
         make_policy(config.policies.front(), config.rl);
-    core::PlanDriver driver(reader, prices, *policy, config.options);
-    const core::PlanDriverRun full = driver.run();
+    core::PlanDriver driver(reader, prices, {policy.get()}, config.options);
+    const core::PlanDriverRun full = driver.run().front();
     driver.mark_dirty(first, count);
-    const core::PlanDriverRun incremental = driver.replan();
+    const core::PlanDriverRun incremental = driver.replan().front();
     std::cout << kRowHeader << "\n"
               << format_row("plan", config.options.shard_files, full) << "\n"
               << format_row("replan", config.options.shard_files, incremental)
@@ -432,20 +434,25 @@ int cmd_plan_store(const util::Cli& cli) {
     return identical ? 0 : 1;
   }
 
-  // Sweep / one-shot: enumerate policy x shard-size cells.
+  // Sweep / one-shot: one driver per shard size plans every policy, so each
+  // shard is decoded once per shard size, not once per policy.
   const bool sweep = config.policies.size() > 1 || shard_sizes.size() > 1;
   std::ostringstream csv;
   csv << kRowHeader << "\n";
   util::Table table({"policy", "shard_files", "shards", "wall s",
                      "decide-sum s", "p50 ns", "p99 ns", "total"});
-  core::PlanDriverRun last;
+  std::vector<std::unique_ptr<core::TieringPolicy>> owned;
+  std::vector<core::TieringPolicy*> policies;
   for (const std::string& name : config.policies) {
-    std::unique_ptr<core::TieringPolicy> policy = make_policy(name, config.rl);
-    for (const std::size_t shard_files : shard_sizes) {
-      core::PlanDriverOptions options = config.options;
-      options.shard_files = shard_files;
-      core::PlanDriver driver(reader, prices, *policy, options);
-      core::PlanDriverRun run = driver.run();
+    owned.push_back(make_policy(name, config.rl));
+    policies.push_back(owned.back().get());
+  }
+  core::PlanDriverRun last;
+  for (const std::size_t shard_files : shard_sizes) {
+    core::PlanDriverOptions options = config.options;
+    options.shard_files = shard_files;
+    core::PlanDriver driver(reader, prices, policies, options);
+    for (core::PlanDriverRun& run : driver.run()) {
       csv << format_row("plan", shard_files, run) << "\n";
       table.add_row(
           {run.policy_name, util::format_count(shard_files),

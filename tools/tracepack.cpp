@@ -257,7 +257,7 @@ int cmd_eval(int argc, const char* const* argv) {
           ? static_cast<std::size_t>(cli.integer("start"))
           : (reader.days() > 35 ? reader.days() - 35 : 1);
   const core::PlanDriverRun sharded =
-      core::PlanDriver(reader, prices, *policy, options).run();
+      core::PlanDriver(reader, prices, {policy.get()}, options).run().front();
 
   const auto& total = sharded.report.grand_total();
   util::Table bill({"component", "amount"});
